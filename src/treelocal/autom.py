@@ -230,23 +230,90 @@ class Patched(Automorphism):
         return f"patched({self.base.describe()}, {len(self.overrides)} overrides)"
 
 
-class SegmentPortrait(Automorphism):
-    """An automorphism prescribed on a finite connected skeleton of vertices
-    and filled outward by the least valid element of a fill group.
+class FilledPortrait(Automorphism):
+    """An automorphism prescribed on a connected skeleton and filled outward
+    by the least valid element of a fill group.
 
-    The skeleton is a geodesic segment: vertex i maps to images[i] with
-    local permutation sigmas[i].  Off the skeleton, each new vertex has a
-    single color constraint inherited from its neighbor toward the
-    skeleton, and the lexicographically least fill-group element matching
-    it is chosen.  The construction exists whenever the fill group can
-    always solve one-point constraints produced by the prescribed data,
-    which is guaranteed when the prescribed permutations preserve the
-    fill group's orbits.
+    On the skeleton, each vertex has a prescribed image and local
+    permutation.  Off the skeleton, each vertex has a single color
+    constraint inherited from its neighbor toward the skeleton, and the
+    lexicographically least fill-group element matching it is chosen.  The
+    construction exists whenever the fill group can always solve one-point
+    constraints produced by the prescribed data, which is guaranteed when
+    the prescribed permutations preserve the fill group's orbits.
+
+    Projection lemma: a connected subtree is convex, so for v off the
+    skeleton every geodesic from v to a skeleton vertex passes through the
+    projection of v (its nearest skeleton vertex).  The first step toward
+    the skeleton is therefore the first color of the geodesic from v to any
+    skeleton vertex, and the anchor serves for all v.
+
+    Subclasses give the anchor and the on-skeleton lookup: _skeleton_index
+    (None off the skeleton), _skeleton_image and _skeleton_sigma.
     """
+
+    def __init__(self, fill: PermGroup, anchor: Vertex):
+        super().__init__(fill.degree)
+        self.fill = fill
+        self.anchor = anchor
+
+    def _skeleton_index(self, v: Vertex) -> Optional[int]:
+        raise NotImplementedError
+
+    def _skeleton_image(self, i: int) -> Vertex:
+        raise NotImplementedError
+
+    def _skeleton_sigma(self, i: int) -> Permutation:
+        raise NotImplementedError
+
+    def _toward_skeleton(self, v: Vertex) -> tuple[Vertex, int]:
+        """The neighbor of v on the geodesic toward the skeleton, with the
+        connecting edge color.  v must be off the skeleton."""
+        step = geodesic(v, self.anchor).colors[0]
+        return neighbor(v, step), step
+
+    def _steps(self, v: Vertex, memo: dict) -> list[tuple[Vertex, Vertex, int]]:
+        """The steps (w, u, k), u = neighbor(w, k), from v toward the
+        skeleton, up to the first u that memo holds or the skeleton
+        contains.  v must be off the skeleton.  Filling along them from the
+        far end keeps the evaluation depth independent of the distance."""
+        steps = []
+        while True:
+            u, k = self._toward_skeleton(v)
+            steps.append((v, u, k))
+            if u in memo or self._skeleton_index(u) is not None:
+                return steps
+            v = u
+
+    def _local(self, v: Vertex) -> Permutation:
+        i = self._skeleton_index(v)
+        if i is not None:
+            return self._skeleton_sigma(i)
+        for w, u, k in reversed(self._steps(v, self._local_memo)):
+            target = self.local(u)(k)
+            sol = find_mapping(self.fill, [(k, target)])
+            if sol is None:
+                raise OrbitViolation(
+                    f"no fill element maps color {k} to {target} at {w}")
+            self._local_memo[w] = sol
+        return sol
+
+    def _apply(self, v: Vertex) -> Vertex:
+        i = self._skeleton_index(v)
+        if i is not None:
+            return self._skeleton_image(i)
+        for w, u, k in reversed(self._steps(v, self._apply_memo)):
+            x = neighbor(self.apply(u), self.local(u)(k))
+            self._apply_memo[w] = x
+        return x
+
+
+class SegmentPortrait(FilledPortrait):
+    """A filled portrait whose skeleton is a finite geodesic segment:
+    vertex i maps to images[i] with local permutation sigmas[i]."""
 
     def __init__(self, vertices: Sequence[Vertex], images: Sequence[Vertex],
                  sigmas: Sequence[Permutation], fill: PermGroup):
-        super().__init__(fill.degree)
         if not (len(vertices) == len(images) == len(sigmas)):
             raise TreeLocalError("skeleton arrays must have equal lengths")
         if not vertices:
@@ -254,10 +321,10 @@ class SegmentPortrait(Automorphism):
         for a, b in zip(vertices, vertices[1:]):
             if distance(a, b) != 1:
                 raise TreeLocalError("skeleton vertices must be consecutive")
+        super().__init__(fill, vertices[0])
         self.skeleton = tuple(vertices)
         self.images = tuple(images)
         self.sigmas = tuple(sigmas)
-        self.fill = fill
         self._index = {v: i for i, v in enumerate(self.skeleton)}
         self._validate()
 
@@ -274,35 +341,14 @@ class SegmentPortrait(Automorphism):
             if distance(self.images[i], self.images[i + 1]) != 1:
                 raise InconsistentPortrait("images must stay adjacent")
 
-    def _toward_skeleton(self, v: Vertex) -> tuple[Vertex, int]:
-        """The neighbor of v on the geodesic toward the skeleton, with the
-        connecting edge color.  v must be off the skeleton."""
-        seg = geodesic(v, self.skeleton[0])
-        for w in seg.vertices():
-            if w in self._index:
-                proj = w
-                break
-        step = geodesic(v, proj).colors[0]
-        return neighbor(v, step), step
+    def _skeleton_index(self, v: Vertex) -> Optional[int]:
+        return self._index.get(v)
 
-    def _local(self, v: Vertex) -> Permutation:
-        i = self._index.get(v)
-        if i is not None:
-            return self.sigmas[i]
-        u, k = self._toward_skeleton(v)
-        target = self.local(u)(k)
-        sol = find_mapping(self.fill, [(k, target)])
-        if sol is None:
-            raise OrbitViolation(
-                f"no fill element maps color {k} to {target} at {v}")
-        return sol
+    def _skeleton_image(self, i: int) -> Vertex:
+        return self.images[i]
 
-    def _apply(self, v: Vertex) -> Vertex:
-        i = self._index.get(v)
-        if i is not None:
-            return self.images[i]
-        u, k = self._toward_skeleton(v)
-        return neighbor(self.apply(u), self.local(u)(k))
+    def _skeleton_sigma(self, i: int) -> Permutation:
+        return self.sigmas[i]
 
     def is_exact(self, F: PermGroup) -> bool:
         return self.fill.is_subgroup_of(F)
@@ -311,26 +357,23 @@ class SegmentPortrait(Automorphism):
         return f"portrait(segment of {len(self.skeleton)} vertices)"
 
 
-class LinePortrait(Automorphism):
-    """An automorphism prescribed along a bi-infinite line and filled
-    outward by the least valid element of a fill group.
+class LinePortrait(FilledPortrait):
+    """A filled portrait whose skeleton is a bi-infinite line.
 
     The vertex map on the line is index_image (an affine map of the index),
-    and sigma_at gives the local permutation at v_i.  Everything off the
-    line is filled exactly as in SegmentPortrait.  sigma_regular_in marks
-    the indices outside which sigma_at is known to land in the fill group,
-    so membership certificates can be exact.
+    and sigma_at gives the local permutation at v_i.  irregular_indices
+    marks the indices outside which sigma_at is known to land in the fill
+    group, so membership certificates can be exact.
     """
 
     def __init__(self, line: LineSpec, index_image: Callable[[int], int],
                  sigma_at: Callable[[int], Permutation], fill: PermGroup,
                  irregular_indices: tuple[int, ...] = (),
                  check_window: int = 12):
-        super().__init__(fill.degree)
+        super().__init__(fill, line.anchor)
         self.line = line
         self.index_image = index_image
         self.sigma_at = sigma_at
-        self.fill = fill
         self.irregular_indices = tuple(irregular_indices)
         self._check(check_window)
 
@@ -349,36 +392,14 @@ class LinePortrait(Automorphism):
                 raise InconsistentPortrait(
                     f"sigma at index {i} sends color {k} off the image edge")
 
-    def _on_line(self, v: Vertex) -> Optional[int]:
+    def _skeleton_index(self, v: Vertex) -> Optional[int]:
         return self.line.index_of(v)
 
-    def _toward_line(self, v: Vertex) -> tuple[Vertex, int]:
-        seg = geodesic(v, self.line.anchor)
-        for w in seg.vertices():
-            if self.line.index_of(w) is not None:
-                proj = w
-                break
-        step = geodesic(v, proj).colors[0]
-        return neighbor(v, step), step
+    def _skeleton_image(self, i: int) -> Vertex:
+        return self.line.vertex(self.index_image(i))
 
-    def _local(self, v: Vertex) -> Permutation:
-        i = self._on_line(v)
-        if i is not None:
-            return self.sigma_at(i)
-        u, k = self._toward_line(v)
-        target = self.local(u)(k)
-        sol = find_mapping(self.fill, [(k, target)])
-        if sol is None:
-            raise OrbitViolation(
-                f"no fill element maps color {k} to {target} at {v}")
-        return sol
-
-    def _apply(self, v: Vertex) -> Vertex:
-        i = self._on_line(v)
-        if i is not None:
-            return self.line.vertex(self.index_image(i))
-        u, k = self._toward_line(v)
-        return neighbor(self.apply(u), self.local(u)(k))
+    def _skeleton_sigma(self, i: int) -> Permutation:
+        return self.sigma_at(i)
 
     def is_exact(self, F: PermGroup) -> bool:
         if not self.fill.is_subgroup_of(F):
@@ -454,13 +475,39 @@ def inverse(g: Automorphism) -> Automorphism:
     return Inverse(g)
 
 
+class Power(Automorphism):
+    """g^n, evaluated by n applications of g (of its inverse for n < 0), so
+    the evaluation depth does not grow with n.  The local permutation
+    follows the cocycle rule: sigma(g^n, v) is the product of sigma(g, g^j v)
+    for j = 0..n-1, later factors applied last."""
+
+    def __init__(self, g: Automorphism, n: int):
+        super().__init__(g.d)
+        self.g = g if n >= 0 else Inverse(g)
+        self.n = abs(n)
+
+    def _apply(self, v: Vertex) -> Vertex:
+        for _ in range(self.n):
+            v = self.g.apply(v)
+        return v
+
+    def _local(self, v: Vertex) -> Permutation:
+        s = Permutation.identity(self.d)
+        for _ in range(self.n):
+            s = self.g.local(v).after(s)
+            v = self.g.apply(v)
+        return s
+
+    def is_exact(self, F: PermGroup) -> bool:
+        return self.n == 0 or self.g.is_exact(F)
+
+    def describe(self) -> str:
+        return f"pow({self.g.describe()}, {self.n})"
+
+
 def power(g: Automorphism, n: int) -> Automorphism:
     """g composed with itself n times; negative n inverts first."""
-    base = g if n >= 0 else Inverse(g)
-    out: Automorphism = Identity(g.d)
-    for _ in range(abs(n)):
-        out = Compose(base, out)
-    return out
+    return Power(g, n)
 
 
 # --- displacement classification ---

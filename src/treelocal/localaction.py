@@ -13,6 +13,7 @@ from the rest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -266,19 +267,6 @@ def build_line(ctx: GroupContext,
     return LineSpec(anchor, forward, backward), tau, cycle
 
 
-def _cached_sigma(solver):
-    cache: dict[int, Permutation] = {}
-
-    def sigma_at(i: int) -> Permutation:
-        hit = cache.get(i)
-        if hit is None:
-            hit = solver(i)
-            cache[i] = hit
-        return hit
-
-    return sigma_at
-
-
 def _line_slot(ctx: GroupContext, cons: list[tuple[int, int]],
                preferred: Sequence[Permutation]) -> Permutation:
     """A permutation satisfying the slot constraints: first matching
@@ -304,12 +292,12 @@ def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
     periodic sides, where the least compatible element is chosen."""
     ident = Permutation.identity(ctx.d)
 
-    def solve(i: int) -> Permutation:
+    @functools.cache
+    def sigma_at(i: int) -> Permutation:
         cons = [(L.edge_color(i), L.edge_color(i + 2)),
                 (L.edge_color(i + 1), L.edge_color(i + 3))]
         return _line_slot(ctx, cons, [ident])
 
-    sigma_at = _cached_sigma(solve)
     return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F,
                         irregular_indices=_irregular_window(ctx, sigma_at))
 
@@ -321,12 +309,12 @@ def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
     the line the solver prefers powers of tau and otherwise takes the
     least compatible element of F, falling back to F'."""
 
-    def solve(i: int) -> Permutation:
+    @functools.cache
+    def sigma_at(i: int) -> Permutation:
         cons = [(L.edge_color(i), L.edge_color(1 - i)),
                 (L.edge_color(i + 1), L.edge_color(-i))]
         return _line_slot(ctx, cons, [tau.power(i), tau.power(-i)])
 
-    sigma_at = _cached_sigma(solve)
     return LinePortrait(L, lambda i: -i, sigma_at, ctx.F,
                         irregular_indices=_irregular_window(ctx, sigma_at))
 

@@ -26,6 +26,26 @@ from .localaction import GroupContext, build_line, rotation_r, translation_t
 from .chains import AlternatingChain
 
 
+def _field(obj, key: str, what: str, kind: type = object):
+    """obj[key], checked to be a JSON object holding key with a value of
+    the given kind; malformed input raises TreeLocalError naming the key."""
+    if not isinstance(obj, dict):
+        raise TreeLocalError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    if key not in obj:
+        raise TreeLocalError(f"{what} missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise TreeLocalError(f"{what} key {key!r} must be a {kind.__name__}")
+    return value
+
+
+def _colors(obj, key: str, what: str) -> tuple[int, ...]:
+    value = _field(obj, key, what, list)
+    if not all(isinstance(k, int) for k in value):
+        raise TreeLocalError(f"{what} key {key!r} must be a list of ints")
+    return tuple(value)
+
+
 # --- tree types ---
 
 
@@ -34,7 +54,7 @@ def encode_vertex(v: Vertex) -> dict:
 
 
 def decode_vertex(obj: dict) -> Vertex:
-    return Vertex.parse(obj["v"])
+    return Vertex.parse(_field(obj, "v", "vertex", str))
 
 
 def encode_segment(s: Segment) -> dict:
@@ -42,7 +62,8 @@ def encode_segment(s: Segment) -> dict:
 
 
 def decode_segment(obj: dict) -> Segment:
-    return Segment(Vertex.parse(obj["start"]), tuple(obj["colors"]))
+    return Segment(Vertex.parse(_field(obj, "start", "segment", str)),
+                   _colors(obj, "colors", "segment"))
 
 
 def encode_line(L: LineSpec) -> dict:
@@ -54,11 +75,13 @@ def encode_line(L: LineSpec) -> dict:
 
 
 def decode_line(obj: dict) -> LineSpec:
-    def seq(o: dict) -> EventuallyPeriodic:
-        return EventuallyPeriodic(tuple(o.get("pre", ())), tuple(o["period"]))
+    def seq(key: str) -> EventuallyPeriodic:
+        o = _field(obj, key, "line", dict)
+        pre = _colors(o, "pre", f"line {key}") if "pre" in o else ()
+        return EventuallyPeriodic(pre, _colors(o, "period", f"line {key}"))
 
-    return LineSpec(Vertex.parse(obj["anchor"]),
-                    seq(obj["forward"]), seq(obj["backward"]))
+    return LineSpec(Vertex.parse(_field(obj, "anchor", "line", str)),
+                    seq("forward"), seq("backward"))
 
 
 # --- group specs ---
@@ -66,10 +89,9 @@ def decode_line(obj: dict) -> LineSpec:
 
 def decode_group_spec(obj: dict) -> tuple[int, list[str], list[str]]:
     """A group-spec file: {"d": n, "F": [cycles], "Fprime": [cycles]}."""
-    for key in ("d", "F", "Fprime"):
-        if key not in obj:
-            raise TreeLocalError(f"group spec missing key {key!r}")
-    return int(obj["d"]), list(obj["F"]), list(obj["Fprime"])
+    d, f_gens, fp_gens = (_field(obj, key, "group spec")
+                          for key in ("d", "F", "Fprime"))
+    return int(d), list(f_gens), list(fp_gens)
 
 
 def context_from_spec(obj: dict) -> GroupContext:
@@ -84,16 +106,21 @@ def context_from_spec(obj: dict) -> GroupContext:
 
 def decode_element(obj: dict, d: int,
                    ctx: Optional[GroupContext] = None) -> Automorphism:
-    op = obj.get("op")
+    op = _field(obj, "op", "element")
+    what = f"{op!r} element"
+
+    def text(key: str) -> str:
+        return _field(obj, key, what, str)
+
     if op == "word":
-        return WordTranslation(Vertex.parse(obj["w"]), d)
+        return WordTranslation(Vertex.parse(text("w")), d)
     if op == "diag":
-        return Diagonal(parse_cycles(obj["perm"], d))
+        return Diagonal(parse_cycles(text("perm"), d))
     if op == "subdiag":
-        return SubtreeDiagonal(Vertex.parse(obj["at"]),
-                               parse_cycles(obj["perm"], d))
+        return SubtreeDiagonal(Vertex.parse(text("at")),
+                               parse_cycles(text("perm"), d))
     if op == "compose":
-        args = [decode_element(a, d, ctx) for a in obj["args"]]
+        args = [decode_element(a, d, ctx) for a in _field(obj, "args", what, list)]
         if not args:
             raise TreeLocalError("compose needs at least one argument")
         out = args[0]
@@ -101,19 +128,19 @@ def decode_element(obj: dict, d: int,
             out = Compose(out, a)
         return out
     if op == "inverse":
-        return Inverse(decode_element(obj["arg"], d, ctx))
+        return Inverse(decode_element(_field(obj, "arg", what), d, ctx))
     if op == "patched":
-        base = decode_element(obj["base"], d, ctx)
+        base = decode_element(_field(obj, "base", what), d, ctx)
         overrides = {Vertex.parse(v): parse_cycles(p, d)
-                     for v, p in obj["overrides"]}
+                     for v, p in _field(obj, "overrides", what, list)}
         return Patched(base, overrides)
     if op == "line":
         if ctx is None:
             if "spec" not in obj:
                 raise TreeLocalError("line element needs a group context")
-            ctx = context_from_spec(obj["spec"])
+            ctx = context_from_spec(_field(obj, "spec", what, dict))
         if "line" in obj:
-            L = decode_line(obj["line"])
+            L = decode_line(_field(obj, "line", what))
             tau, cycle = pick_tau(ctx.F)
         else:
             L, tau, cycle = build_line(ctx)
@@ -138,8 +165,8 @@ def encode_chain(c: AlternatingChain) -> dict:
 
 def decode_chain(obj: dict) -> AlternatingChain:
     raw = [(tuple(Vertex.parse(v) for v in key), Fraction(coeff))
-           for key, coeff in obj["terms"]]
-    return AlternatingChain.build(int(obj["degree"]), raw)
+           for key, coeff in _field(obj, "terms", "chain", list)]
+    return AlternatingChain.build(int(_field(obj, "degree", "chain")), raw)
 
 
 # --- DOT export ---

@@ -52,9 +52,10 @@ def vertex_key(v: Vertex) -> tuple:
 
 def neighbor(v: Vertex, k: int) -> Vertex:
     """The vertex across the edge of color k at v."""
+    # both words are reduced when v is, so Vertex's check is skipped
     if v and v[-1] == k:
-        return Vertex(v[:-1])
-    return Vertex(tuple(v) + (k,))
+        return tuple.__new__(Vertex, v[:-1])
+    return tuple.__new__(Vertex, v + (k,))
 
 
 def reduce_word(letters: Sequence[int]) -> Vertex:
@@ -167,6 +168,8 @@ def ball(v: Vertex, R: int, d: int) -> Iterator[Vertex]:
     """All vertices at distance <= R from v, in BFS order."""
     if R < 0:
         raise TreeLocalError("negative radius")
+    if d < 3:
+        raise TreeLocalError(f"degree {d} < 3")
     yield v
     frontier = [v]
     for _ in range(R):
@@ -190,22 +193,18 @@ def ball_size(R: int, d: int) -> int:
 def is_aligned(points: Sequence[Vertex]) -> bool:
     """True iff all points lie on a common geodesic.
 
-    Computed via the Steiner hull: take the union of all pairwise
-    geodesics and check no vertex has degree > 2 in it.
+    In a tree, a farthest point b from any point, and a farthest point c
+    from b, form a farthest pair.  The points are aligned iff every p lies
+    on the geodesic [b, c], that is d(b, p) + d(p, c) = d(b, c).
     """
     pts = list(points)
     if not pts:
         raise TreeLocalError("is_aligned needs at least one point")
-    if len(set(pts)) <= 2:
-        return True
-    adjacency: dict[Vertex, set[Vertex]] = {}
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            verts = geodesic(a, b).vertices()
-            for x, y in zip(verts, verts[1:]):
-                adjacency.setdefault(x, set()).add(y)
-                adjacency.setdefault(y, set()).add(x)
-    return all(len(nb) <= 2 for nb in adjacency.values())
+    b = max(pts, key=lambda p: distance(pts[0], p))
+    from_b = [distance(b, p) for p in pts]
+    span = max(from_b)
+    c = pts[from_b.index(span)]
+    return all(bp + distance(p, c) == span for p, bp in zip(pts, from_b))
 
 
 def is_aligned_bruteforce(points: Sequence[Vertex]) -> bool:
@@ -239,6 +238,12 @@ class EventuallyPeriodic:
         return self.period[(i - 1 - len(self.pre)) % len(self.period)]
 
 
+# LineSpec keeps v_i for |i| <= LINE_WALK_CACHED; past that v_i is rebuilt on
+# each call in time linear in its length, so a far query leaves no table of
+# quadratic size behind
+LINE_WALK_CACHED = 256
+
+
 @dataclass(frozen=True)
 class LineSpec:
     """A bi-infinite geodesic line through an anchor vertex v_0.
@@ -258,6 +263,9 @@ class LineSpec:
         for i in range(-w, w):
             if self.edge_color(i) == self.edge_color(i + 1):
                 raise TreeLocalError(f"line backtracks at index {i}")
+        # v_0, v_1, ... and v_0, v_-1, ..., walked once and extended on demand;
+        # not dataclass fields, so ==, hash and repr ignore them
+        object.__setattr__(self, "_walked", ([self.anchor], [self.anchor]))
 
     def edge_color(self, i: int) -> int:
         """Color of the edge (v_{i-1}, v_i)."""
@@ -265,24 +273,33 @@ class LineSpec:
             return self.forward.term(i)
         return self.backward.term(1 - i)
 
+    def _walk(self, i: int) -> Vertex:
+        """v_i, extending the walked vertex lists toward |i|."""
+        side, colors = ((self._walked[0], self.forward) if i >= 0
+                        else (self._walked[1], self.backward))
+        n = abs(i)
+        while len(side) <= min(n, LINE_WALK_CACHED):
+            side.append(neighbor(side[-1], colors.term(len(side))))
+        if n < len(side):
+            return side[n]
+        return reduce_word(side[-1] + tuple(colors.term(j)
+                                            for j in range(len(side), n + 1)))
+
     def vertex(self, i: int) -> Vertex:
-        v = self.anchor
-        if i >= 0:
-            for j in range(1, i + 1):
-                v = neighbor(v, self.forward.term(j))
-        else:
-            for j in range(1, -i + 1):
-                v = neighbor(v, self.backward.term(j))
-        return v
+        """v_i; a table lookup once the walk has reached it, for |i| up to
+        LINE_WALK_CACHED."""
+        return self._walk(i)
 
     def index_of(self, v: Vertex) -> int | None:
-        """Index of v on the line, or None when v is off the line."""
+        """Index of v on the line, or None when v is off the line.
+
+        The line is a geodesic through v_0, so v can only be v_n or v_-n
+        for n = d(v_0, v).
+        """
         n = distance(self.anchor, v)
-        if n == 0:
-            return 0
-        if self.vertex(n) == v:
+        if self._walk(n) == v:
             return n
-        if self.vertex(-n) == v:
+        if self._walk(-n) == v:
             return -n
         return None
 

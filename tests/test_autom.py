@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treelocal.errors import TreeLocalError
 from treelocal.permgroups import (
@@ -32,7 +33,25 @@ from treelocal.autom import (
     power,
     singular_support,
 )
-from treelocal.tree import BASE, Vertex, ball, distance, neighbor
+from treelocal.localaction import (
+    build_line,
+    rotation_r,
+    segment_transport,
+    translation_t,
+)
+from treelocal.serialize import decode_element
+from treelocal.tree import (
+    BASE,
+    LineSpec,
+    Segment,
+    Vertex,
+    ball,
+    ball_size,
+    distance,
+    geodesic,
+    neighbor,
+    reduce_word,
+)
 
 from conftest import random_composite, random_reduced_word
 
@@ -250,3 +269,143 @@ class TestMovedSets:
         for _ in range(10):
             a = random_composite(rng, 3, 2)
             assert conjugate_support_shift_check(a, b, window)
+
+
+class TestDeepPowers:
+    def test_power_of_500_does_not_recurse(self):
+        g = power(WordTranslation(Vertex((1, 2)), 3), 500)
+        assert g.apply(BASE) == Vertex((1, 2) * 500)
+        assert power(WordTranslation(Vertex((1, 2)), 3), -200).apply(BASE) \
+            == Vertex((2, 1) * 200)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-150, 150), st.lists(st.integers(1, 4), max_size=4))
+    def test_word_translation_closed_form(self, n, letters):
+        w = reduce_word(letters)
+        word = tuple(w) if n >= 0 else tuple(reversed(w))
+        g = power(WordTranslation(w, 4), n)
+        for v in ball(BASE, 1, 4):
+            assert g.apply(v) == reduce_word(word * abs(n) + tuple(v))
+
+    @staticmethod
+    def bounded_elements(d: int):
+        """Elements with bounded orbits, so that large powers stay cheap."""
+        return [
+            Diagonal(parse_cycles("(1 2 3)", d)),
+            WordTranslation(Vertex((2,)), d),
+            SubtreeDiagonal(Vertex((1,)), parse_cycles("(2 3)", d)),
+            Compose(WordTranslation(Vertex((1,)), d),
+                    Diagonal(parse_cycles("(2 3)", d))),
+            Inverse(Compose(SubtreeDiagonal(Vertex((3, 1)), parse_cycles("(2 3)", d)),
+                            Diagonal(parse_cycles("(1 2)", d)))),
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 4), st.integers(-10 ** 4, 10 ** 4))
+    @example(0, 10 ** 4)
+    @example(4, -10 ** 4)
+    def test_agrees_with_iterated_application(self, which, n):
+        g = self.bounded_elements(3)[which]
+        step = g if n >= 0 else Inverse(g)
+        p = power(g, n)
+        for v in ball(BASE, 2, 3):
+            x = v
+            for _ in range(abs(n)):
+                x = step.apply(x)
+            assert p.apply(v) == x
+            # the local permutation carries the edge colors at v to those at p v
+            sigma = p.local(v)
+            for k in range(1, 4):
+                assert p.apply(neighbor(v, k)) == neighbor(x, sigma(k))
+
+
+def scan_step(on_skeleton, target: Vertex, v: Vertex) -> int:
+    """First color from v toward the skeleton, found by scanning the
+    geodesic from v to the skeleton vertex target for its first skeleton
+    vertex (the projection of v)."""
+    for w in geodesic(v, target).vertices():
+        if on_skeleton(w):
+            return geodesic(v, w).colors[0]
+    raise AssertionError("geodesic to a skeleton vertex left the skeleton")
+
+
+def odd_line() -> dict:
+    """A line with a non-base anchor and nonempty preambles, both of whose
+    rays leave the anchor away from e, so e projects onto the anchor."""
+    return {"anchor": "2.3",
+            "forward": {"pre": [4, 1], "period": [2, 3]},
+            "backward": {"pre": [1], "period": [2, 4]}}
+
+
+class TestProjectionLemma:
+    """The step toward a connected skeleton is the first step toward any
+    of its vertices; checked against a scan for the projection."""
+
+    def line_portraits(self, ctx):
+        L, tau, cycle = build_line(ctx)
+        return [translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)]
+
+    def check(self, g, on_skeleton, targets, d):
+        off = 0
+        for v in ball(BASE, 6, d):
+            if on_skeleton(v):
+                continue
+            off += 1
+            u, k = g._toward_skeleton(v)
+            assert u == neighbor(v, k)
+            for target in targets:
+                assert k == scan_step(on_skeleton, target, v)
+        assert off > 0
+
+    def test_canonical_lines(self, ctx3, ctx4):
+        for ctx in (ctx3, ctx4):
+            for g in self.line_portraits(ctx):
+                L = g.line
+                self.check(g, lambda w: L.index_of(w) is not None,
+                           [L.anchor, L.vertex(5), L.vertex(-3)], ctx.d)
+
+    def test_line_with_offset_anchor_and_preambles(self, ctx4):
+        for kind in ("t", "r"):
+            g = decode_element({"op": "line", "kind": kind, "line": odd_line()},
+                               4, ctx4)
+            L = g.line
+            assert L.anchor != BASE and L.forward.pre and L.backward.pre
+            self.check(g, lambda w: L.index_of(w) is not None,
+                       [L.anchor, L.vertex(4), L.vertex(-6)], 4)
+
+    def test_segment_transport(self, ctx4):
+        s = Segment(Vertex((2, 3)), (1, 2, 4))
+        s2 = Segment(Vertex((1,)), (3, 1, 2))
+        g = segment_transport(ctx4, s, s2).element
+        skeleton = set(g.skeleton)
+        self.check(g, skeleton.__contains__, [g.skeleton[0], g.skeleton[-1]], 4)
+
+
+class TestDeepFill:
+    def test_far_vertex_evaluates_cold(self, ctx3):
+        # e projects onto the line at v_0 = e, so the prefixes of v lead from
+        # the line out to v; filling them in order never goes deeper than a step
+        L, _, _ = build_line(ctx3)
+        v = Vertex((3, 1) * 300)
+        cold, warm = translation_t(ctx3, L), translation_t(ctx3, L)
+        for n in range(len(v) + 1):
+            warm.apply(Vertex(v[:n]))
+        assert cold.apply(v) == warm.apply(v)
+        assert cold.local(v) == warm.local(v)
+
+
+class TestPortraitCost:
+    def test_one_index_lookup_per_ball_vertex(self, ctx4, monkeypatch):
+        calls = 0
+        index_of = LineSpec.index_of
+
+        def counting(self, v):
+            nonlocal calls
+            calls += 1
+            return index_of(self, v)
+
+        monkeypatch.setattr(LineSpec, "index_of", counting)
+        L, _, _ = build_line(ctx4)
+        t = translation_t(ctx4, L)
+        certify_membership(t, ctx4.F, ctx4.Fp, 8)
+        assert calls <= ball_size(8, 4) == 13121

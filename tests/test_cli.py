@@ -172,6 +172,30 @@ class TestTree:
         assert "[label=2]" in out
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("element", "build", "--element", '{"op": "diag"}'),
+        ("element", "build", "--element", "[1]"),
+        ("element", "build", "--element", '{"op": "compose", "args": [[1]]}'),
+        ("element", "build", "--element", '{"op": "inverse"}'),
+        ("element", "build", "--element", '{"op": "word", "w": 12}'),
+        ("element", "apply", "--vertex", "e", "--element", '{"w": "1"}'),
+        ("qm", "eval", "--segment", '{"start": "e"}', "--word", "1.2"),
+        ("qm", "eval", "--segment", '[1]', "--word", "1.2"),
+        ("qm", "eval", "--segment", '{"start": "e", "colors": "12"}',
+         "--word", "1.2"),
+        ("tree", "ball", "--d", "2"),
+        ("tree", "dot", "--d", "2"),
+    ])
+    def test_exits_1_with_one_line(self, capsys, specd4, argv):
+        if argv[0] == "qm":
+            argv = argv[:2] + ("--spec", specd4) + argv[2:]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBranchCommand:
     def test_summary_and_determinism(self, capsys, spec3, tmp_path):
         cfg = tmp_path / "cfg.json"

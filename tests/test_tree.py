@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from treelocal.errors import TreeLocalError
 from treelocal.tree import (
     BASE,
+    LINE_WALK_CACHED,
     EventuallyPeriodic,
     LineSpec,
     Segment,
@@ -135,6 +136,10 @@ class TestBall:
     def test_offcenter_size(self):
         assert len(list(ball(Vertex((1, 2)), 3, 3))) == ball_size(3, 3)
 
+    def test_needs_degree_three(self):
+        with pytest.raises(TreeLocalError):
+            list(ball(BASE, 2, 2))
+
     def test_distinct_and_within_radius(self):
         vs = list(ball(Vertex((2,)), 3, 4))
         assert len(vs) == len(set(vs))
@@ -152,6 +157,19 @@ class TestAlignment:
 
     def test_tripod_not_aligned(self):
         assert not is_aligned((Vertex((1,)), Vertex((2,)), Vertex((3,))))
+
+    def test_single_and_repeated_points(self):
+        v = Vertex((1, 2))
+        assert is_aligned((v,))
+        assert is_aligned((v, v, v))
+        assert is_aligned((v, BASE, v, BASE))
+        with pytest.raises(TreeLocalError):
+            is_aligned(())
+
+    @given(st.lists(word_strategy(3, 5), min_size=1, max_size=6))
+    def test_matches_bruteforce_with_repeats(self, pts):
+        pts = pts + pts[:2]
+        assert is_aligned(pts) == is_aligned_bruteforce(pts)
 
 
 class TestLineSpec:
@@ -186,6 +204,41 @@ class TestLineSpec:
         with pytest.raises(TreeLocalError):
             LineSpec(BASE, EventuallyPeriodic((), (1,)),
                      EventuallyPeriodic((), (2,)))
+
+    def test_walk_matches_naive_walk(self):
+        # non-base anchor, nonempty preambles; the line passes through e
+        L = LineSpec(Vertex((2, 3)), EventuallyPeriodic((3, 2), (1, 4)),
+                     EventuallyPeriodic((1,), (2, 4)))
+        naive = {0: L.anchor}
+        for i in range(1, 41):
+            naive[i] = neighbor(naive[i - 1], L.forward.term(i))
+            naive[-i] = neighbor(naive[1 - i], L.backward.term(i))
+        # ask out of order, so the lazy extension is exercised both ways
+        for i in (40, -3, 7, -40, 0):
+            assert L.vertex(i) == naive[i]
+        for i, v in naive.items():
+            assert L.vertex(i) == v
+            assert L.index_of(v) == i
+        on_line = set(naive.values())
+        for v in ball(BASE, 4, 4):
+            if v not in on_line:
+                assert L.index_of(v) is None
+
+    def test_walk_past_the_cached_vertices(self):
+        L = self.line()
+        far = LINE_WALK_CACHED + 7
+        for sign, seq in ((1, L.forward), (-1, L.backward)):
+            v = L.anchor
+            for j in range(1, far + 1):
+                v = neighbor(v, seq.term(j))
+            assert L.vertex(sign * far) == v
+            assert L.index_of(v) == sign * far
+        assert all(len(side) == LINE_WALK_CACHED + 1 for side in L._walked)
+
+    def test_walk_table_is_not_part_of_equality(self):
+        L, L2 = self.line(), self.line()
+        L.vertex(30)
+        assert L == L2 and hash(L) == hash(L2) and repr(L) == repr(L2)
 
     def test_eventually_periodic_terms(self):
         seq = EventuallyPeriodic((5,), (1, 2))
