@@ -266,24 +266,21 @@ class FilledPortrait(Automorphism):
     def _skeleton_sigma(self, i: int) -> Permutation:
         raise NotImplementedError
 
-    def _toward_skeleton(self, v: Vertex) -> tuple[Vertex, int]:
-        """The neighbor of v on the geodesic toward the skeleton, with the
-        connecting edge color.  v must be off the skeleton."""
-        step = geodesic(v, self.anchor).colors[0]
-        return neighbor(v, step), step
-
     def _steps(self, v: Vertex, memo: dict) -> list[tuple[Vertex, Vertex, int]]:
         """The steps (w, u, k), u = neighbor(w, k), from v toward the
         skeleton, up to the first u that memo holds or the skeleton
-        contains.  v must be off the skeleton.  Filling along them from the
-        far end keeps the evaluation depth independent of the distance."""
+        contains.  v must be off the skeleton.  By the projection lemma the
+        geodesic from v to the anchor holds every step; filling along them
+        from the far end keeps the evaluation depth independent of the
+        distance."""
         steps = []
-        while True:
-            u, k = self._toward_skeleton(v)
+        for k in geodesic(v, self.anchor).colors:
+            u = neighbor(v, k)
             steps.append((v, u, k))
             if u in memo or self._skeleton_index(u) is not None:
-                return steps
+                break
             v = u
+        return steps
 
     def _local(self, v: Vertex) -> Permutation:
         i = self._skeleton_index(v)

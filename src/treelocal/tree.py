@@ -238,12 +238,6 @@ class EventuallyPeriodic:
         return self.period[(i - 1 - len(self.pre)) % len(self.period)]
 
 
-# LineSpec keeps v_i for |i| <= LINE_WALK_CACHED; past that v_i is rebuilt on
-# each call in time linear in its length, so a far query leaves no table of
-# quadratic size behind
-LINE_WALK_CACHED = 256
-
-
 @dataclass(frozen=True)
 class LineSpec:
     """A bi-infinite geodesic line through an anchor vertex v_0.
@@ -278,16 +272,12 @@ class LineSpec:
         side, colors = ((self._walked[0], self.forward) if i >= 0
                         else (self._walked[1], self.backward))
         n = abs(i)
-        while len(side) <= min(n, LINE_WALK_CACHED):
+        while len(side) <= n:
             side.append(neighbor(side[-1], colors.term(len(side))))
-        if n < len(side):
-            return side[n]
-        return reduce_word(side[-1] + tuple(colors.term(j)
-                                            for j in range(len(side), n + 1)))
+        return side[n]
 
     def vertex(self, i: int) -> Vertex:
-        """v_i; a table lookup once the walk has reached it, for |i| up to
-        LINE_WALK_CACHED."""
+        """v_i; a table lookup once the walk has reached it."""
         return self._walk(i)
 
     def index_of(self, v: Vertex) -> int | None:

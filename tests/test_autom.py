@@ -351,8 +351,8 @@ class TestProjectionLemma:
             if on_skeleton(v):
                 continue
             off += 1
-            u, k = g._toward_skeleton(v)
-            assert u == neighbor(v, k)
+            w, u, k = g._steps(v, {})[0]
+            assert w == v and u == neighbor(v, k)
             for target in targets:
                 assert k == scan_step(on_skeleton, target, v)
         assert off > 0

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from treelocal.errors import TreeLocalError
 from treelocal.tree import (
     BASE,
-    LINE_WALK_CACHED,
     EventuallyPeriodic,
     LineSpec,
     Segment,
@@ -223,17 +222,6 @@ class TestLineSpec:
         for v in ball(BASE, 4, 4):
             if v not in on_line:
                 assert L.index_of(v) is None
-
-    def test_walk_past_the_cached_vertices(self):
-        L = self.line()
-        far = LINE_WALK_CACHED + 7
-        for sign, seq in ((1, L.forward), (-1, L.backward)):
-            v = L.anchor
-            for j in range(1, far + 1):
-                v = neighbor(v, seq.term(j))
-            assert L.vertex(sign * far) == v
-            assert L.index_of(v) == sign * far
-        assert all(len(side) == LINE_WALK_CACHED + 1 for side in L._walked)
 
     def test_walk_table_is_not_part_of_equality(self):
         L, L2 = self.line(), self.line()
