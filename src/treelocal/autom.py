@@ -439,19 +439,26 @@ class Compose(Automorphism):
 
 class Inverse(Automorphism):
     """The inverse automorphism, evaluated by walking the image-side
-    geodesic and pulling each color back through the local permutation."""
+    geodesic and pulling each color back through the local permutation.
+
+    The walk may start from any pair (u, g u): from (BASE, g BASE) or from
+    the last pair computed, whichever image is nearer v.  Iterating the
+    inverse, as a negative power does, then costs one short walk a step."""
 
     def __init__(self, g: Automorphism):
         super().__init__(g.d)
         self.g = g
+        self._last: Optional[tuple[Vertex, Vertex]] = None
 
     def _apply(self, v: Vertex) -> Vertex:
-        u = BASE
-        x = self.g.apply(BASE)
+        u, x = BASE, self.g.apply(BASE)
+        if self._last is not None and distance(self._last[1], v) < distance(x, v):
+            u, x = self._last
         for c in geodesic(x, v).colors:
             k = self.g.local(u).inv()(c)
             u = neighbor(u, k)
             x = neighbor(x, c)
+        self._last = (u, x)
         return u
 
     def _local(self, v: Vertex) -> Permutation:

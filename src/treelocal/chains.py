@@ -37,7 +37,6 @@ from .tree import (
     ball,
     distance,
     geodesic,
-    is_aligned,
     vertex_key,
 )
 
@@ -144,11 +143,35 @@ def exactness_check(w: ComplexWindow) -> bool:
     return True
 
 
+def aligned_tuples(points: Sequence[Vertex], size: int) -> list[tuple[Vertex, ...]]:
+    """The size-subsets of the (distinct) points that lie on a common
+    geodesic, in the order of itertools.combinations(points, size).
+
+    A geodesic tuple of three or more points has exactly one extreme pair,
+    the two points farthest apart, and all the others lie strictly between
+    them.  So each such tuple arises exactly once as an extreme pair plus
+    size - 2 of the points inside the pair's geodesic.
+    """
+    if size < 1:
+        raise TreeLocalError("an aligned tuple needs at least one point")
+    if size <= 2:
+        return list(itertools.combinations(points, size))
+    index = {p: i for i, p in enumerate(points)}
+    found = []
+    for i, j in itertools.combinations(range(len(points)), 2):
+        inside = [index[v] for v in geodesic(points[i], points[j]).vertices()[1:-1]
+                  if v in index]
+        for between in itertools.combinations(inside, size - 2):
+            found.append(tuple(sorted((i, j) + between)))
+    found.sort()
+    return [tuple(points[k] for k in tup) for tup in found]
+
+
 def aligned_basis(w: ComplexWindow, n: int) -> list[tuple[Vertex, ...]]:
     if len(w.points) > MAX_WINDOW_POINTS:
         raise SizeLimitExceeded(
             f"{len(w.points)} points exceed cap {MAX_WINDOW_POINTS}")
-    return [t for t in w.basis(n) if is_aligned(t)]
+    return aligned_tuples(sorted(w.points, key=vertex_key), n + 1)
 
 
 def aligned_closure_check(w: ComplexWindow, n: int) -> bool:
@@ -200,9 +223,7 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
     if not edge_transitivity_check(ctx, L, [t, r], max(4, window_radius)):
         raise HypothesisUnverified("line stabilizer not edge-transitive on window")
 
-    points = list(ball(BASE, window_radius, ctx.d))
-    tuples = [tup for tup in itertools.combinations(points, n + 1)
-              if is_aligned(tup)]
+    tuples = aligned_tuples(list(ball(BASE, window_radius, ctx.d)), n + 1)
     rng = random.Random(seed)
     if len(tuples) > sample_cap:
         tuples = rng.sample(tuples, sample_cap)

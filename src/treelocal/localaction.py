@@ -6,14 +6,16 @@ F <= F' of subgroups of Sym({1..d}) such that F' preserves the F-orbits.
 
 This module builds the concrete witnesses the theory turns on: a colored
 periodic line, a translation by 2 and a rotation stabilizing it, segment
-transport elements, the pointwise matchability test for segments, and
-the obstruction/escape witnesses that separate the 2-transitive case
-from the rest.
+transport elements, matchability of segments as equality of F'-orbital
+words, and the obstruction/escape witnesses that separate the
+2-transitive case from the rest (F' is 2-transitive iff it has exactly
+one orbital on ordered pairs of distinct points).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -56,6 +58,7 @@ from .tree import (
     geodesic,
     neighbor,
     reduce_word,
+    reduced_words,
 )
 
 
@@ -67,7 +70,9 @@ class GroupContext:
     F: PermGroup
     Fp: PermGroup
     relaxed_orbits: bool = False
-    _match_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # F'-orbital of every ordered pair (x, y), numbered by first pair met
+    orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if self.d < 3:
@@ -80,38 +85,41 @@ class GroupContext:
             raise TreeLocalError("F must be a proper subgroup of F'")
         if not self.relaxed_orbits and not preserves_orbits(self.F, self.Fp):
             raise TreeLocalError("F' must preserve the orbits of F")
+        self.orbital = {}
+        ident = itertools.count()
+        for x, y in itertools.product(range(1, self.d + 1), repeat=2):
+            if (x, y) not in self.orbital:
+                k = next(ident)
+                for rho in self.Fp.elements:
+                    self.orbital[rho(x), rho(y)] = k
+
+    def orbital_word(self, a: Sequence[int]) -> tuple[int, ...]:
+        """The orbitals of the consecutive pairs (a_{i-1}, a_i), i >= 1;
+        for a single color, the orbital of (a_0, a_0), that is its F'-orbit."""
+        if len(a) == 1:
+            return (self.orbital[a[0], a[0]],)
+        return tuple(self.orbital[x, y] for x, y in zip(a, a[1:]))
 
 
-# --- pointwise matchability of color sequences ---
-
-
-def _slot_constraints(a: Sequence[int], b: Sequence[int],
-                      i: int) -> list[tuple[int, int]]:
-    """Constraints on the permutation at position i of a vertexwise match
-    of color sequences a onto b (positions 0..len(a))."""
-    cons = []
-    if i >= 1:
-        cons.append((a[i - 1], b[i - 1]))
-    if i <= len(a) - 1:
-        cons.append((a[i], b[i]))
-    return cons
+# --- matchability of color sequences ---
 
 
 def colors_matchable(ctx: GroupContext, a: tuple[int, ...],
                      b: tuple[int, ...]) -> bool:
     """True iff there are rho_0..rho_n in F' with rho_{i-1}(a_i) = b_i and
-    rho_i(a_i) = b_i for every i.  The slots are independent: each carries
-    at most two constraints, so existence is a per-slot check."""
+    rho_i(a_i) = b_i for every i, that is iff a and b have the same
+    F'-orbital word.
+
+    The slots are independent, each carrying at most two constraints.
+    Slot i (0 < i < n) asks for rho in F' with rho(a_{i-1}, a_i) =
+    (b_{i-1}, b_i): the two pairs lie in one orbital.  The end slots ask
+    only rho(a_0) = b_0 and rho(a_{n-1}) = b_{n-1}, which their neighbours
+    imply when n >= 2; for n = 1 both ask that a_0 and b_0 lie in one
+    F'-orbit, and a diagonal orbital (x, x) is exactly a point orbit.
+    """
     if len(a) != len(b):
         raise LengthMismatch(f"{len(a)} vs {len(b)}")
-    key = (a, b)
-    hit = ctx._match_cache.get(key)
-    if hit is None:
-        hit = all(
-            find_mapping(ctx.Fp, _slot_constraints(a, b, i)) is not None
-            for i in range(len(a) + 1))
-        ctx._match_cache[key] = hit
-    return hit
+    return ctx.orbital_word(a) == ctx.orbital_word(b)
 
 
 def is_translate(ctx: GroupContext, s: Segment, s2: Segment,
@@ -188,10 +196,12 @@ class TransportResult:
 
 def _slot_sigmas(ctx: GroupContext, a: tuple[int, ...],
                  b: tuple[int, ...]) -> Optional[list[Permutation]]:
-    """Least valid permutation per slot (preferring F over F'), or None."""
+    """Least valid permutation per slot (preferring F over F'), or None.
+    Slot i of a vertexwise match of a onto b sends a_{i-1} to b_{i-1} and
+    a_i to b_i, where those exist."""
     out = []
     for i in range(len(a) + 1):
-        cons = _slot_constraints(a, b, i)
+        cons = [(a[j], b[j]) for j in (i - 1, i) if 0 <= j < len(a)]
         rho = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
         if rho is None:
             return None
@@ -439,27 +449,17 @@ def e2_obstruction(ctx: GroupContext) -> Optional[ObstructionWitness]:
 
 def segment_orbit_census(ctx: GroupContext, n: int,
                          cap: int = 100000) -> list[tuple[int, ...]]:
-    """Representatives of length-n color sequences up to oriented pointwise
+    """Representatives of length-n color sequences up to oriented
     F'-matchability (equivalently, up to the G(F,F') action on oriented
-    segments with matched starts).  One class for every n iff the group
-    is transitive on same-length segments."""
+    segments with matched starts): the lexicographically first sequence
+    of each orbital word, in order of first appearance.  One class for
+    every n iff the group is transitive on same-length segments."""
     if n < 1:
         raise TreeLocalError("census needs n >= 1")
     total = ctx.d * (ctx.d - 1) ** (n - 1)
     if total > cap:
         raise SizeLimitExceeded(f"{total} sequences exceed cap {cap}")
-
-    def sequences(length: int):
-        if length == 0:
-            yield ()
-            return
-        for head in sequences(length - 1):
-            for k in range(1, ctx.d + 1):
-                if not head or head[-1] != k:
-                    yield head + (k,)
-
-    reps: list[tuple[int, ...]] = []
-    for seq in sequences(n):
-        if not any(colors_matchable(ctx, seq, rep) for rep in reps):
-            reps.append(seq)
-    return reps
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for seq in reduced_words(ctx.d, n):
+        reps.setdefault(ctx.orbital_word(seq), seq)
+    return list(reps.values())

@@ -1,20 +1,22 @@
 """Median quasimorphisms on G(F,F').
 
 f_{s,v}(g) counts the oriented translates of a fixed segment s inside
-the geodesic [v, g v], minus the count inside [g v, v].  An occurrence
-is a subsegment whose color sequence is pointwise F'-matchable with s
-(the same relation that decides whether some group element carries one
-segment onto the other), so everything reduces to exact combinatorics
-on color words.
+the geodesic [v, g v], minus the count inside [g v, v].  A subsegment is
+a translate of s iff the two color sequences have the same F'-orbital
+word (see localaction.colors_matchable), so one pass over the windows of
+a color word counts every pattern of a given length at once.
 
 Homogenization is computed two ways: the defining limit f(g^n)/n, and a
 closed form counting occurrence starts inside one fundamental domain of
 the axis of a loxodromic element.  The two agree once n is large enough
-and the tests insist on exact agreement.
+and the tests insist on exact agreement.  Against a word translation the
+closed form for every segment of a length is one axis column, which the
+nonvanishing and rank searches read their values from.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -28,9 +30,9 @@ from .autom import (
     classify,
     power,
 )
-from .localaction import GroupContext, colors_matchable, segment_orbit_census
+from .localaction import GroupContext, segment_orbit_census
 from .ratmat import pivot_positions, rank
-from .tree import BASE, Segment, Vertex, geodesic
+from .tree import BASE, Segment, Vertex, geodesic, reduced_words
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,9 @@ class MedianQM:
     def __post_init__(self):
         if self.s.length < 1:
             raise TreeLocalError("segment must have positive length")
+        if any(not 1 <= k <= self.ctx.d for k in self.s.colors):
+            raise TreeLocalError(
+                f"segment colors {list(self.s.colors)} outside 1..{self.ctx.d}")
 
 
 @dataclass(frozen=True)
@@ -54,22 +59,37 @@ class QMEvaluation:
     backward_count: int
 
 
-def _count_occurrences(ctx: GroupContext, word: tuple[int, ...],
-                       pattern: tuple[int, ...], start: int, stop: int) -> int:
-    """Occurrence starts i in [start, stop) with word[i : i+|pattern|]
-    matchable onto the pattern."""
-    n = len(pattern)
-    return sum(
-        1 for i in range(start, stop)
-        if i + n <= len(word) and colors_matchable(ctx, word[i:i + n], pattern))
+def _window_counts(ctx: GroupContext, word: Sequence[int], n: int,
+                   start: int, stop: int) -> tuple[Counter, Counter]:
+    """How often each orbital word occurs among the windows word[i : i+n]
+    with i in [start, stop), and among their reversals: slices of the
+    labels of the pairs (w_j, w_{j+1}), and reversed slices of the labels
+    of (w_{j+1}, w_j); for n = 1, of the pairs (w_j, w_j)."""
+    orbital = ctx.orbital
+    if n == 1:
+        ahead = back = [orbital[x, x] for x in word]
+    else:
+        ahead = [orbital[x, y] for x, y in zip(word, word[1:])]
+        back = [orbital[y, x] for x, y in zip(word, word[1:])]
+    k = max(1, n - 1)
+    starts = range(start, min(stop, len(word) - n + 1))
+    return (Counter(tuple(ahead[i:i + k]) for i in starts),
+            Counter(tuple(reversed(back[i:i + k])) for i in starts))
+
+
+def _signed_count(ctx: GroupContext, word: Sequence[int], pattern: Sequence[int],
+                 start: int, stop: int) -> tuple[int, int]:
+    """(forward, backward): the window starts i in [start, stop) whose
+    window word[i : i+|pattern|] matches the pattern, and those whose
+    reversed window does."""
+    ahead, back = _window_counts(ctx, word, len(pattern), start, stop)
+    key = ctx.orbital_word(pattern)
+    return ahead[key], back[key]
 
 
 def eval_qm(f: MedianQM, g: Automorphism) -> QMEvaluation:
     word = geodesic(f.v, g.apply(f.v)).colors
-    n = f.s.length
-    fwd = _count_occurrences(f.ctx, word, f.s.colors, 0, len(word) - n + 1)
-    rev = tuple(reversed(word))
-    bwd = _count_occurrences(f.ctx, rev, f.s.colors, 0, len(word) - n + 1)
+    fwd, bwd = _signed_count(f.ctx, word, f.s.colors, 0, len(word))
     return QMEvaluation(value=fwd - bwd, forward_count=fwd, backward_count=bwd)
 
 
@@ -83,23 +103,6 @@ def homogenize_limit(f: MedianQM, g: Automorphism, N: int) -> list[Fraction]:
         acc = Compose(g, acc)
         out.append(Fraction(eval_qm(f, acc).value, n))
     return out
-
-
-def _periodic_signed_count(ctx: GroupContext, ell: int,
-                           pattern: tuple[int, ...],
-                           axis_word: tuple[int, ...], offset: int) -> int:
-    """Signed occurrence count with starts in [offset, offset + ell) of the
-    doubly infinite ell-periodic word represented by axis_word.  Backward
-    occurrences are attributed to the forward slot they occupy, which is
-    equivalent per period to any other attribution."""
-    fwd = _count_occurrences(ctx, axis_word, pattern, offset, offset + ell)
-    m = len(axis_word)
-    n = len(pattern)
-    bwd = sum(
-        1 for i in range(offset, offset + ell)
-        if i + n <= m and colors_matchable(
-            ctx, tuple(reversed(axis_word[i:i + n])), pattern))
-    return fwd - bwd
 
 
 def homogenize(f: MedianQM, g: Automorphism) -> int:
@@ -119,7 +122,8 @@ def homogenize(f: MedianQM, g: Automorphism) -> int:
     n = f.s.length
     reps = 3 + (n + ell - 1) // ell
     window = geodesic(u, power(g, reps).apply(u)).colors
-    return _periodic_signed_count(f.ctx, ell, f.s.colors, window, ell)
+    fwd, bwd = _signed_count(f.ctx, window, f.s.colors, ell, 2 * ell)
+    return fwd - bwd
 
 
 def cyclic_reduction(w: Sequence[int]) -> tuple[int, ...]:
@@ -129,28 +133,70 @@ def cyclic_reduction(w: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-def homogenize_word(f: MedianQM, w: Sequence[int]) -> int:
-    """Homogenization against the word translation by w, via the periodic
-    structure of its axis: the axis colors of a cyclically reduced word
-    are the word repeated, so no automorphism evaluation is needed."""
+def axis_column(ctx: GroupContext, w: Sequence[int], n: int) -> Counter:
+    """Homogenization of every length-n median quasimorphism against the
+    word translation by w, keyed by the orbital word of its segment: the
+    signed window counts over one period of the axis, whose colors are
+    the cyclic reduction of w repeated.  Backward occurrences are
+    attributed to the forward window they occupy, which is equivalent per
+    period to any other attribution."""
     t = cyclic_reduction(w)
     ell = len(t)
     if ell <= 1:
-        return 0
-    n = f.s.length
-    reps = 3 + (n + ell - 1) // ell
-    window = t * reps
-    return _periodic_signed_count(f.ctx, ell, f.s.colors, window, ell)
+        return Counter()
+    ahead, back = _window_counts(ctx, t * (2 + n // ell), n, 0, ell)
+    ahead.subtract(back)
+    return ahead
+
+
+class _AxisColumns:
+    """Axis columns of candidate words, held for one segment length at a
+    time.  Words whose cyclic reductions have the same cyclic orbital word
+    share a column, computed once."""
+
+    def __init__(self, ctx: GroupContext, words: Sequence[tuple[int, ...]]):
+        self.ctx = ctx
+        self.words = words
+        self.n = 0
+        self.columns: dict[tuple[int, ...], Counter] = {}
+        self.values: dict[tuple, int] = {}
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.axes = []
+        for w in words:
+            t = cyclic_reduction(w)
+            axis = ctx.orbital_word(t + t[:1]) if len(t) > 1 else ()
+            self.axes.append(shared.setdefault(axis, axis))
+
+    def __call__(self, i: int, n: int) -> Counter:
+        """The axis column of words[i] for segment length n."""
+        if n != self.n:
+            self.n, self.columns = n, {}
+        col = self.columns.get(self.axes[i])
+        if col is None:
+            col = self.columns[self.axes[i]] = axis_column(self.ctx, self.words[i], n)
+        return col
+
+    def value(self, i: int, n: int, key: tuple[int, ...]) -> int:
+        """The entry for key of the axis column of words[i] for length n,
+        kept for every length: the rows already chosen are read at their
+        own segment lengths."""
+        memo = (self.axes[i], n, key)
+        if memo not in self.values:
+            self.values[memo] = axis_column(self.ctx, self.words[i], n)[key]
+        return self.values[memo]
+
+
+def homogenize_word(f: MedianQM, w: Sequence[int]) -> int:
+    """Homogenization against the word translation by w, read from its
+    axis column, so no automorphism evaluation is needed."""
+    return axis_column(f.ctx, w, f.s.length)[f.ctx.orbital_word(f.s.colors)]
 
 
 def eval_colors(ctx: GroupContext, word: tuple[int, ...],
                 pattern: tuple[int, ...]) -> int:
     """Signed occurrence count of the pattern over a whole finite color
     word: forward occurrences minus occurrences of the reversal."""
-    n = len(pattern)
-    fwd = _count_occurrences(ctx, word, pattern, 0, len(word) - n + 1)
-    rev = tuple(reversed(word))
-    bwd = _count_occurrences(ctx, rev, pattern, 0, len(word) - n + 1)
+    fwd, bwd = _signed_count(ctx, word, pattern, 0, len(word))
     return fwd - bwd
 
 
@@ -164,17 +210,6 @@ def defect_sample(f: MedianQM,
         gap = abs(eval_qm(f, ab).value - eval_qm(f, a).value - eval_qm(f, b).value)
         best = max(best, gap)
     return best
-
-
-def reduced_words(d: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All reduced color words of the given length, lexicographic."""
-    if length == 0:
-        yield ()
-        return
-    for head in reduced_words(d, length - 1):
-        for k in range(1, d + 1):
-            if not head or head[-1] != k:
-                yield head + (k,)
 
 
 def cyclically_reduced_words(d: int, max_len: int,
@@ -217,14 +252,17 @@ def find_nonvanishing_qm(
     carry a constant boundary correction, and the exact-agreement ones
     make the limit visible at finite n.
     """
+    words = list(cyclically_reduced_words(ctx.d, search_bound))
+    column = _AxisColumns(ctx, words)
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
-            f = MedianQM(Segment(BASE, rep), BASE, ctx)
-            for w in cyclically_reduced_words(ctx.d, search_bound):
-                h = homogenize_word(f, w)
+            key = ctx.orbital_word(rep)
+            for i, w in enumerate(words):
+                h = column(i, seg_len)[key]
                 if h != 0 and all(eval_colors(ctx, w * n, rep) == n * h
                                   for n in (6, 7, 8)):
-                    return f, WordTranslation(Vertex(w), ctx.d), h
+                    return (MedianQM(Segment(BASE, rep), BASE, ctx),
+                            WordTranslation(Vertex(w), ctx.d), h)
     return None
 
 
@@ -257,26 +295,29 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
     translations and accept the first (representative, word) pair whose
     row and column strictly increase the exact rank of the accumulated
     matrix.  Stops as soon as the target is reached."""
+    words = list(cyclically_reduced_words(ctx.d, search_bound))
+    column = _AxisColumns(ctx, words)
     chosen_qms: list[MedianQM] = []
-    chosen_words: list[tuple[int, ...]] = []
+    chosen_words: list[int] = []
     matrix: list[list[int]] = []
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
             f = MedianQM(Segment(BASE, rep), BASE, ctx)
-            for w in cyclically_reduced_words(ctx.d, search_bound):
-                if homogenize_word(f, w) == 0:
+            key = ctx.orbital_word(rep)
+            for i, w in enumerate(words):
+                h = column(i, seg_len)[key]
+                if h == 0:
                     continue
-                cand = [row + [homogenize_word(g, w)]
+                cand = [row + [column.value(i, g.s.length, ctx.orbital_word(g.s.colors))]
                         for row, g in zip(matrix, chosen_qms)]
-                cand.append([homogenize_word(f, wj) for wj in chosen_words]
-                            + [homogenize_word(f, w)])
+                cand.append([column(j, seg_len)[key] for j in chosen_words] + [h])
                 if len(pivot_positions(cand)) == len(chosen_qms) + 1:
                     chosen_qms.append(f)
-                    chosen_words.append(w)
+                    chosen_words.append(i)
                     matrix = cand
                     break
             if len(chosen_qms) >= target_rank:
-                els = [WordTranslation(Vertex(wj), ctx.d) for wj in chosen_words]
+                els = [WordTranslation(Vertex(words[j]), ctx.d) for j in chosen_words]
                 cert = independence_certificate(ctx, chosen_qms, els)
                 if cert.rank >= target_rank:
                     return cert

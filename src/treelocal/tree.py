@@ -69,6 +69,17 @@ def reduce_word(letters: Sequence[int]) -> Vertex:
     return Vertex(out)
 
 
+def reduced_words(d: int, length: int) -> Iterator[tuple[int, ...]]:
+    """All reduced color words of the given length, lexicographic."""
+    if length == 0:
+        yield ()
+        return
+    for head in reduced_words(d, length - 1):
+        for k in range(1, d + 1):
+            if not head or head[-1] != k:
+                yield head + (k,)
+
+
 def _common_prefix_len(u: Vertex, v: Vertex) -> int:
     n = 0
     for a, b in zip(u, v):
@@ -292,6 +303,3 @@ class LineSpec:
         if self._walk(-n) == v:
             return -n
         return None
-
-    def vertices(self, lo: int, hi: int) -> list[Vertex]:
-        return [self.vertex(i) for i in range(lo, hi + 1)]

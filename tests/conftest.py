@@ -16,8 +16,13 @@ from treelocal.autom import (
     WordTranslation,
 )
 from treelocal.localaction import GroupContext
-from treelocal.permgroups import Permutation, all_subgroups, preserves_orbits
-from treelocal.tree import Vertex
+from treelocal.permgroups import (
+    Permutation,
+    all_subgroups,
+    find_mapping,
+    preserves_orbits,
+)
+from treelocal.tree import Vertex, reduced_words
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +60,39 @@ def valid_contexts(d: int) -> list[GroupContext]:
                     and preserves_orbits(F, Fp)):
                 out.append(GroupContext(d, F, Fp))
     return out
+
+
+class SlotwiseMatcher:
+    """The slotwise definition of matchability, an oracle for
+    colors_matchable: a matches b iff every slot i = 0..n has some rho in
+    F' with rho(a_{i-1}) = b_{i-1} and rho(a_i) = b_i (the constraints that
+    exist at the slot), each slot solved by find_mapping.  Answers are
+    cached per instance."""
+
+    def __init__(self, ctx: GroupContext):
+        self.ctx = ctx
+        self.cache: dict = {}
+
+    def __call__(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        hit = self.cache.get((a, b))
+        if hit is None:
+            n = len(a)
+            hit = self.cache[a, b] = all(
+                find_mapping(self.ctx.Fp,
+                             [(a[j], b[j]) for j in (i - 1, i) if 0 <= j < n])
+                is not None
+                for i in range(n + 1))
+        return hit
+
+
+def pairwise_census(match: SlotwiseMatcher, n: int) -> list[tuple[int, ...]]:
+    """Census by the pairwise scan: a sequence is a new representative
+    when it matches none found before it."""
+    reps: list[tuple[int, ...]] = []
+    for seq in reduced_words(match.ctx.d, n):
+        if not any(match(seq, rep) for rep in reps):
+            reps.append(seq)
+    return reps
 
 
 def random_reduced_word(rng: random.Random, d: int, length: int) -> Vertex:

@@ -319,6 +319,32 @@ class TestDeepPowers:
                 assert p.apply(neighbor(v, k)) == neighbor(x, sigma(k))
 
 
+class TestNegativePowers:
+    def test_linear_number_of_steps(self, monkeypatch):
+        import treelocal.autom as autom
+        calls = 0
+
+        def counting(v, k):
+            nonlocal calls
+            calls += 1
+            return neighbor(v, k)
+
+        monkeypatch.setattr(autom, "neighbor", counting)
+        g = WordTranslation(Vertex((1, 2)), 3)
+        assert power(g, -500).apply(BASE) == Vertex((2, 1) * 500)
+        assert calls <= 5000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inverts_positive_power_on_ball(self, seed):
+        rng = random.Random(seed)
+        g = random_composite(rng, 3, 2)
+        for n in (1, 2, 7, 30):
+            up, down = power(g, n), power(g, -n)
+            for v in ball(BASE, 3, 3):
+                assert down.apply(up.apply(v)) == v
+                assert up.apply(down.apply(v)) == v
+
+
 def scan_step(on_skeleton, target: Vertex, v: Vertex) -> int:
     """First color from v toward the skeleton, found by scanning the
     geodesic from v to the skeleton vertex target for its first skeleton

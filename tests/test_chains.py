@@ -12,6 +12,7 @@ from treelocal.chains import (
     ComplexWindow,
     aligned_basis,
     aligned_closure_check,
+    aligned_tuples,
     boundary,
     exactness_check,
     normalize,
@@ -19,7 +20,7 @@ from treelocal.chains import (
     restriction_correspondence_check,
 )
 from treelocal.localaction import build_line
-from treelocal.tree import BASE, Vertex, ball
+from treelocal.tree import BASE, Vertex, ball, is_aligned
 
 
 V = Vertex.parse
@@ -95,6 +96,14 @@ class TestAligned:
         w = ComplexWindow(pts, 3)
         for n in range(4):
             assert aligned_closure_check(w, n)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_tuples_from_geodesics_equal_the_filter(self, d):
+        for R in range(4):
+            points = list(ball(BASE, R, d))
+            for k in range(1, 5):
+                assert aligned_tuples(points, k) == [
+                    t for t in itertools.combinations(points, k) if is_aligned(t)]
 
     def test_tripod_excluded(self):
         w = ComplexWindow((V("1"), V("2"), V("3")), 2)

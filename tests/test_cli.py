@@ -186,6 +186,8 @@ class TestMalformedInput:
          "--word", "1.2"),
         ("tree", "ball", "--d", "2"),
         ("tree", "dot", "--d", "2"),
+        ("qm", "eval", "--segment", '{"start": "e", "colors": [1, 7]}',
+         "--word", "1.2"),
     ])
     def test_exits_1_with_one_line(self, capsys, specd4, argv):
         if argv[0] == "qm":

@@ -40,7 +40,12 @@ from treelocal.localaction import (
 )
 from treelocal.tree import BASE, Segment, Vertex, distance
 
-from conftest import random_reduced_word, valid_contexts
+from conftest import (
+    SlotwiseMatcher,
+    pairwise_census,
+    random_reduced_word,
+    valid_contexts,
+)
 
 
 def color_sequences(d: int, n: int) -> list[tuple[int, ...]]:
@@ -99,6 +104,39 @@ class TestMatchability:
         # steps of size 1 and size 2 around the 4-cycle are different classes
         assert not colors_matchable(ctxd4, (1, 2), (1, 3))
         assert colors_matchable(ctxd4, (1, 2), (2, 3))
+
+
+class TestOrbitalWords:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_equals_slotwise_definition(self, d):
+        seqs = [s for n in range(1, 4) for s in color_sequences(d, n)]
+        for ctx in valid_contexts(d):
+            match = SlotwiseMatcher(ctx)
+            for a in seqs:
+                for b in seqs:
+                    if len(a) == len(b):
+                        assert colors_matchable(ctx, a, b) == match(a, b), (ctx, a, b)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_equals_bruteforce_up_to_length_2(self, d):
+        seqs = [s for n in (1, 2) for s in color_sequences(d, n)]
+        for ctx in valid_contexts(d):
+            for a in seqs:
+                for b in seqs:
+                    if len(a) == len(b):
+                        assert colors_matchable(ctx, a, b) == is_translate_bruteforce(
+                            ctx, Segment(BASE, a), Segment(BASE, b)), (ctx, a, b)
+
+    def test_one_orbital_iff_2transitive(self):
+        for d in (3, 4):
+            for ctx in valid_contexts(d):
+                off_diagonal = {ctx.orbital[x, y]
+                                for x in range(1, d + 1) for y in range(1, d + 1) if x != y}
+                assert (len(off_diagonal) == 1) == is_2transitive_direct(ctx.Fp)
+
+    def test_single_color_word_is_its_orbit(self, ctxd4):
+        assert ctxd4.orbital_word((2,)) == ctxd4.orbital_word((4,))
+        assert ctxd4.orbital_word((1, 2)) != ctxd4.orbital_word((1, 3))
 
 
 class TestIsTranslate:
@@ -277,6 +315,13 @@ class TestCensus:
         reps = segment_orbit_census(ctxd4, 3)
         for a, b in itertools.combinations(reps, 2):
             assert not colors_matchable(ctxd4, a, b)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_equals_pairwise_scan(self, d):
+        for ctx in valid_contexts(d):
+            match = SlotwiseMatcher(ctx)
+            for n in range(1, 4):
+                assert segment_orbit_census(ctx, n) == pairwise_census(match, n)
 
     def test_every_sequence_covered(self, ctxd4):
         reps = segment_orbit_census(ctxd4, 3)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from treelocal.autom import Compose, Inverse, WordTranslation, power
+from treelocal.ratmat import rank
 from treelocal.medianqm import (
     MedianQM,
     cyclic_reduction,
+    cyclically_reduced_words,
     defect_sample,
     eval_colors,
     eval_qm,
@@ -23,7 +25,13 @@ from treelocal.medianqm import (
 )
 from treelocal.tree import BASE, Segment, Vertex
 
-from conftest import random_composite, random_reduced_word
+from conftest import (
+    SlotwiseMatcher,
+    pairwise_census,
+    random_composite,
+    random_reduced_word,
+    valid_contexts,
+)
 
 
 def word_element(letters, d):
@@ -182,3 +190,97 @@ class TestWordEnumeration:
 
     def test_eval_colors_signed(self, ctxd4):
         assert eval_colors(ctxd4, (1, 2, 1, 2), (1, 2)) == 0
+
+
+# The window counts and searches as first written, on the slotwise oracle
+# matcher: the orbital-word versions must agree with them exactly.
+
+def naive_count(match, word, pattern, start, stop) -> int:
+    """Window starts in [start, stop) matching the pattern, minus those
+    whose reversed window matches it."""
+    n = len(pattern)
+    starts = [i for i in range(start, stop) if i + n <= len(word)]
+    return (sum(1 for i in starts if match(tuple(word[i:i + n]), pattern))
+            - sum(1 for i in starts if match(tuple(reversed(word[i:i + n])), pattern)))
+
+
+def naive_homogenize_word(match, pattern, w) -> int:
+    t = cyclic_reduction(w)
+    ell = len(t)
+    if ell <= 1:
+        return 0
+    reps = 3 + (len(pattern) + ell - 1) // ell
+    return naive_count(match, t * reps, pattern, ell, 2 * ell)
+
+
+def naive_find_nonvanishing(match, max_seg, search_bound):
+    ctx = match.ctx
+    for seg_len in range(1, max_seg + 1):
+        for rep in pairwise_census(match, seg_len):
+            for w in cyclically_reduced_words(ctx.d, search_bound):
+                h = naive_homogenize_word(match, rep, w)
+                if h != 0 and all(naive_count(match, w * n, rep, 0, len(w) * n) == n * h
+                                  for n in (6, 7, 8)):
+                    return rep, w, h
+    return None
+
+
+def naive_independence_search(match, target_rank, max_seg, search_bound):
+    ctx = match.ctx
+    chosen_reps, chosen_words, matrix = [], [], []
+    for seg_len in range(1, max_seg + 1):
+        for rep in pairwise_census(match, seg_len):
+            for w in cyclically_reduced_words(ctx.d, search_bound):
+                if naive_homogenize_word(match, rep, w) == 0:
+                    continue
+                cand = [row + [naive_homogenize_word(match, g, w)]
+                        for row, g in zip(matrix, chosen_reps)]
+                cand.append([naive_homogenize_word(match, rep, wj) for wj in chosen_words]
+                            + [naive_homogenize_word(match, rep, w)])
+                if rank(cand) == len(chosen_reps) + 1:
+                    chosen_reps.append(rep)
+                    chosen_words.append(w)
+                    matrix = cand
+                    break
+            if len(chosen_reps) >= target_rank:
+                return chosen_reps, chosen_words
+    return None
+
+
+class TestAgainstSlotwiseOracle:
+    def test_eval_colors_and_homogenize_word(self):
+        rng = random.Random(12)
+        for ctx in valid_contexts(3) + valid_contexts(4):
+            match = SlotwiseMatcher(ctx)
+            for _ in range(40):
+                pattern = tuple(random_reduced_word(rng, ctx.d, rng.randint(1, 4)))
+                word = tuple(random_reduced_word(rng, ctx.d, rng.randint(0, 12)))
+                assert (eval_colors(ctx, word, pattern)
+                        == naive_count(match, word, pattern, 0, len(word)))
+                f = MedianQM(Segment(BASE, pattern), BASE, ctx)
+                assert homogenize_word(f, word) == naive_homogenize_word(match, pattern, word)
+
+    @pytest.mark.parametrize("max_seg, search_bound", [(3, 6), (5, 7)])
+    def test_find_nonvanishing_qm(self, ctxd4, max_seg, search_bound):
+        expected = naive_find_nonvanishing(SlotwiseMatcher(ctxd4), max_seg, search_bound)
+        found = find_nonvanishing_qm(ctxd4, max_seg, search_bound)
+        if expected is None:
+            assert found is None
+        else:
+            f, g, value = found
+            rep, w, h = expected
+            assert (f.s.colors, g.describe(), value) == (
+                rep, word_element(w, 4).describe(), h)
+
+    @pytest.mark.parametrize("target, max_seg, search_bound", [(2, 3, 6), (1, 5, 7)])
+    def test_independence_search(self, ctxd4, target, max_seg, search_bound):
+        expected = naive_independence_search(SlotwiseMatcher(ctxd4), target, max_seg,
+                                             search_bound)
+        cert = independence_search(ctxd4, target, max_seg, search_bound)
+        if expected is None:
+            assert cert is None
+        else:
+            reps, words = expected
+            assert [q.s.colors for q in cert.qms] == reps
+            assert [g.describe() for g in cert.elements] == [
+                word_element(w, 4).describe() for w in words]
