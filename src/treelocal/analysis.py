@@ -16,7 +16,7 @@ claims the cohomological conclusions themselves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -158,20 +158,7 @@ class RunConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "census_n": self.census_n,
-            "sample_size": self.sample_size,
-            "membership_radius": self.membership_radius,
-            "window": self.window,
-            "transport_samples": self.transport_samples,
-            "transport_max_len": self.transport_max_len,
-            "qm_max_seg": self.qm_max_seg,
-            "qm_search_bound": self.qm_search_bound,
-            "qm_rank_max_seg": self.qm_rank_max_seg,
-            "rank_target": self.rank_target,
-            "limit_N": self.limit_N,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -258,8 +245,7 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
             colors[0] = next(k for k in range(1, ctx.d + 1)
                              if k != start[-1] and (length < 2 or k != colors[1]))
         seg = Segment(start, tuple(colors))
-        res = transport_into_line(ctx, seg, L, parity="even")
-        g = res.element
+        g = transport_into_line(ctx, seg, L, parity="even")
         on_line = all(L.index_of(g.apply(v)) is not None for v in seg.vertices())
         even = distance(seg.start, g.apply(seg.start)) % 2 == 0
         if on_line and even:

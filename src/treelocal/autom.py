@@ -358,24 +358,28 @@ class LinePortrait(FilledPortrait):
     """A filled portrait whose skeleton is a bi-infinite line.
 
     The vertex map on the line is index_image (an affine map of the index),
-    and sigma_at gives the local permutation at v_i.  irregular_indices
-    marks the indices outside which sigma_at is known to land in the fill
-    group, so membership certificates can be exact.
+    and sigma_at gives the local permutation at v_i.  sigma_at(i) must
+    depend only on i mod m and on the line colors e(j) with |j - i| <= 3
+    or |j + i| <= 3, as the translation and the rotation of localaction do.
+    By LineSpec.tail, sigma_at and every edge condition then repeat with
+    period P past index +-seam, so checking the edges up to the seam plus
+    one period on each side checks the whole line, and so does the
+    membership of sigma_at in F on one period of each tail.
     """
 
     def __init__(self, line: LineSpec, index_image: Callable[[int], int],
                  sigma_at: Callable[[int], Permutation], fill: PermGroup,
-                 irregular_indices: tuple[int, ...] = (),
-                 check_window: int = 12):
+                 m: int = 1):
         super().__init__(fill, line.anchor)
         self.line = line
         self.index_image = index_image
         self.sigma_at = sigma_at
-        self.irregular_indices = tuple(irregular_indices)
-        self._check(check_window)
+        self.seam, self.period = line.tail(m)
+        self._check()
 
-    def _check(self, window: int):
-        for i in range(-window, window):
+    def _check(self):
+        reach = self.seam + self.period
+        for i in range(-reach, reach):
             k = self.line.edge_color(i + 1)
             if self.sigma_at(i)(k) != self.sigma_at(i + 1)(k):
                 raise InconsistentPortrait(
@@ -384,8 +388,7 @@ class LinePortrait(FilledPortrait):
             if abs(j2 - j) != 1:
                 raise InconsistentPortrait("index map must move to a neighbor")
             # the image edge (v_j, v_j2) must carry the color sigma sends k to
-            step = self.sigma_at(i)(k)
-            if neighbor(self.line.vertex(j), step) != self.line.vertex(j2):
+            if self.sigma_at(i)(k) != self.line.edge_color(max(j, j2)):
                 raise InconsistentPortrait(
                     f"sigma at index {i} sends color {k} off the image edge")
 
@@ -399,15 +402,13 @@ class LinePortrait(FilledPortrait):
         return self.sigma_at(i)
 
     def is_exact(self, F: PermGroup) -> bool:
+        """Off the line every local permutation lies in the fill group; on
+        the line only the indices inside the seam can leave F once one
+        period of each tail lies in F."""
         if not self.fill.is_subgroup_of(F):
             return False
-        # sigma along the line must lie in F outside the irregular indices;
-        # spot-check a window around them plus both periodic tails
-        lo = min(self.irregular_indices, default=0) - 12
-        hi = max(self.irregular_indices, default=0) + 12
-        return all(self.sigma_at(i) in F
-                   for i in range(lo, hi + 1)
-                   if i not in self.irregular_indices)
+        return all(self.sigma_at(i) in F and self.sigma_at(-i) in F
+                   for i in range(self.seam, self.seam + self.period))
 
     def describe(self) -> str:
         return "portrait(line)"

@@ -131,16 +131,11 @@ def exactness_check(w: ComplexWindow) -> bool:
             f"{len(w.points)} points exceed cap {MAX_WINDOW_POINTS}")
     if w.max_degree > MAX_DEGREE:
         raise SizeLimitExceeded(f"degree {w.max_degree} exceeds cap {MAX_DEGREE}")
-    for n in range(0, w.max_degree + 1):
-        dim_n = len(w.basis(n))
-        rank_n = rank(_boundary_matrix(w, n))
-        if n + 1 <= len(w.points) - 1:
-            rank_next = rank(_boundary_matrix(w, n + 1))
-        else:
-            rank_next = 0
-        if dim_n - rank_n != rank_next:
-            return False
-    return True
+    # a degree-n tuple has n + 1 entries, so past the points there are none
+    ranks = [rank(_boundary_matrix(w, n)) if n < len(w.points) else 0
+             for n in range(w.max_degree + 2)]
+    return all(len(w.basis(n)) - ranks[n] == ranks[n + 1]
+               for n in range(w.max_degree + 1))
 
 
 def aligned_tuples(points: Sequence[Vertex], size: int) -> list[tuple[Vertex, ...]]:
@@ -236,8 +231,7 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
         far = max(itertools.combinations(tup, 2),
                   key=lambda ab: distance(*ab))
         span = geodesic(*far)
-        res = transport_into_line(ctx, span, L, parity="even")
-        g = res.element
+        g = transport_into_line(ctx, span, L, parity="even")
         images = [g.apply(v) for v in tup]
         idx = [L.index_of(x) for x in images]
         if any(i is None for i in idx):

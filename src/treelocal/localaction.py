@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +28,7 @@ from .errors import (
     LengthMismatch,
     NotStabilizing,
     NotTwoTransitive,
+    OutOfRange,
     SizeLimitExceeded,
     TreeLocalError,
 )
@@ -60,6 +62,10 @@ from .tree import (
     reduce_word,
     reduced_words,
 )
+
+
+#: Cap on the sequences or words that a census or a search enumerates.
+ENUMERATION_CAP = 100000
 
 
 @dataclass
@@ -96,9 +102,12 @@ class GroupContext:
     def orbital_word(self, a: Sequence[int]) -> tuple[int, ...]:
         """The orbitals of the consecutive pairs (a_{i-1}, a_i), i >= 1;
         for a single color, the orbital of (a_0, a_0), that is its F'-orbit."""
-        if len(a) == 1:
-            return (self.orbital[a[0], a[0]],)
-        return tuple(self.orbital[x, y] for x, y in zip(a, a[1:]))
+        try:
+            if len(a) == 1:
+                return (self.orbital[a[0], a[0]],)
+            return tuple(self.orbital[x, y] for x, y in zip(a, a[1:]))
+        except KeyError:
+            raise OutOfRange(f"colors {list(a)} outside 1..{self.d}") from None
 
 
 # --- matchability of color sequences ---
@@ -188,68 +197,57 @@ def extend_from_segment(ctx: GroupContext, source: Segment, target: Segment,
         raise IncompatibleSigma(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    element: Automorphism
-    checked_radius: int
-
-
-def _slot_sigmas(ctx: GroupContext, a: tuple[int, ...],
-                 b: tuple[int, ...]) -> Optional[list[Permutation]]:
-    """Least valid permutation per slot (preferring F over F'), or None.
-    Slot i of a vertexwise match of a onto b sends a_{i-1} to b_{i-1} and
-    a_i to b_i, where those exist."""
-    out = []
-    for i in range(len(a) + 1):
-        cons = [(a[j], b[j]) for j in (i - 1, i) if 0 <= j < len(a)]
-        rho = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
-        if rho is None:
-            return None
-        out.append(rho)
-    return out
+def _slot(ctx: GroupContext, cons: Sequence[tuple[int, int]],
+          preferred: Sequence[Permutation] = ()) -> Permutation:
+    """The permutation of one slot, sending x to y for each (x, y) in
+    cons: the first preferred candidate in F' that does, else the least
+    such element of F, else the least of F'."""
+    for cand in preferred:
+        if cand in ctx.Fp and all(cand(x) == y for x, y in cons):
+            return cand
+    sol = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
+    if sol is None:
+        raise ConstraintUnsolvable(f"no F' element satisfies {cons}")
+    return sol
 
 
 def segment_transport(ctx: GroupContext, s: Segment,
-                      s2: Segment) -> Optional[TransportResult]:
+                      s2: Segment) -> Optional[Automorphism]:
     """An element of G(F,F') carrying s onto s2 vertex by vertex, when one
-    exists (equivalently, when is_translate holds)."""
+    exists (equivalently, when is_translate holds): the extension of the
+    solved slots, slot i sending a_{i-1} to b_{i-1} and a_i to b_i where
+    those exist."""
     if s.length != s2.length:
         raise LengthMismatch(f"{s.length} vs {s2.length}")
-    sigmas = _slot_sigmas(ctx, s.colors, s2.colors)
-    if sigmas is None:
+    a, b = s.colors, s2.colors
+    try:
+        sigmas = [_slot(ctx, [(a[j], b[j]) for j in (i - 1, i) if 0 <= j < len(a)])
+                  for i in range(len(a) + 1)]
+    except ConstraintUnsolvable:
         return None
-    g = SegmentPortrait(s.vertices(), s2.vertices(), sigmas, ctx.F)
-    radius = max(2, s.length + 2)
-    for u, x in zip(s.vertices(), s2.vertices()):
-        if g.apply(u) != x:
-            raise InconsistentPortrait(f"transport does not map {u} to {x}")
-    return TransportResult(element=g, checked_radius=radius)
+    return extend_from_segment(ctx, s, s2, sigmas)
 
 
 def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
-                        parity: str = "even") -> TransportResult:
-    """Send s onto the line L, optionally with even displacement of the
-    segment's start vertex.  Needs F' 2-transitive so every slot
-    constraint pair is solvable."""
+                        parity: str = "even") -> Automorphism:
+    """Send s onto the line L at indices j..j+n: j = 0, or j = 1 when the
+    parity is "even" and d(s.start, v_0) is odd, so that the start vertex
+    moves an even distance (v_0 and v_1 are adjacent).
+
+    Lemma: if F' is 2-transitive, every slot is solvable.  Segment and
+    line colors never backtrack, so each slot asks F' to map one pair of
+    distinct points to another pair of distinct points (or, at an end,
+    one point to another).  The first index of the right parity is
+    therefore always taken.
+    """
     if parity not in ("even", "any"):
         raise TreeLocalError(f"parity must be 'even' or 'any', not {parity!r}")
     if not is_2transitive_direct(ctx.Fp):
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")
-    n = s.length
-    # scan candidate anchor indices outward from 0; target occupies
-    # indices j..j+n in the increasing direction
-    for radius in range(0, 64):
-        for j in ([0] if radius == 0 else [radius, -radius]):
-            if parity == "even" and distance(s.start, L.vertex(j)) % 2 != 0:
-                continue
-            target = Segment(L.vertex(j),
-                             tuple(L.edge_color(j + i) for i in range(1, n + 1)))
-            sigmas = _slot_sigmas(ctx, s.colors, target.colors)
-            if sigmas is None:
-                continue
-            g = SegmentPortrait(s.vertices(), target.vertices(), sigmas, ctx.F)
-            return TransportResult(element=g, checked_radius=max(2, n + 2))
-    raise ConstraintUnsolvable("no target position found on the line")
+    j = 1 if parity == "even" and distance(s.start, L.vertex(0)) % 2 else 0
+    target = Segment(L.vertex(j),
+                     tuple(L.edge_color(j + i) for i in range(1, s.length + 1)))
+    return segment_transport(ctx, s, target)
 
 
 # --- the line, its translation and rotation ---
@@ -277,39 +275,19 @@ def build_line(ctx: GroupContext,
     return LineSpec(anchor, forward, backward), tau, cycle
 
 
-def _line_slot(ctx: GroupContext, cons: list[tuple[int, int]],
-               preferred: Sequence[Permutation]) -> Permutation:
-    """A permutation satisfying the slot constraints: first matching
-    preferred candidate lying in F', else least in F, else least in F'."""
-    for cand in preferred:
-        if cand in ctx.Fp and all(cand(x) == y for x, y in cons):
-            return cand
-    sol = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
-    if sol is None:
-        raise ConstraintUnsolvable(f"no F' element satisfies {cons}")
-    return sol
-
-
-def _irregular_window(ctx: GroupContext, sigma_at, window: int = 12) -> tuple[int, ...]:
-    return tuple(i for i in range(-window, window + 1)
-                 if sigma_at(i) not in ctx.F)
-
-
 def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
     """The translation v_i -> v_{i+2} along L.  The local permutation at
-    v_i must send the line colors e(i), e(i+1) to e(i+2), e(i+3); by
-    periodicity the identity works except near the seam of the two
-    periodic sides, where the least compatible element is chosen."""
-    ident = Permutation.identity(ctx.d)
+    v_i must send the line colors e(i), e(i+1) to e(i+2), e(i+3).  The
+    slot takes the least compatible element of F, falling back to F'; by
+    periodicity that is the identity except near the seam of the two
+    periodic sides."""
 
     @functools.cache
     def sigma_at(i: int) -> Permutation:
-        cons = [(L.edge_color(i), L.edge_color(i + 2)),
-                (L.edge_color(i + 1), L.edge_color(i + 3))]
-        return _line_slot(ctx, cons, [ident])
+        return _slot(ctx, [(L.edge_color(i), L.edge_color(i + 2)),
+                           (L.edge_color(i + 1), L.edge_color(i + 3))])
 
-    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F,
-                        irregular_indices=_irregular_window(ctx, sigma_at))
+    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F)
 
 
 def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
@@ -321,12 +299,12 @@ def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
 
     @functools.cache
     def sigma_at(i: int) -> Permutation:
-        cons = [(L.edge_color(i), L.edge_color(1 - i)),
-                (L.edge_color(i + 1), L.edge_color(-i))]
-        return _line_slot(ctx, cons, [tau.power(i), tau.power(-i)])
+        return _slot(ctx, [(L.edge_color(i), L.edge_color(1 - i)),
+                           (L.edge_color(i + 1), L.edge_color(-i))],
+                     [tau.power(i), tau.power(-i)])
 
-    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F,
-                        irregular_indices=_irregular_window(ctx, sigma_at))
+    order = math.lcm(*map(len, tau.cycles()))
+    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order)
 
 
 def edge_transitivity_check(ctx: GroupContext, L: LineSpec,
@@ -448,7 +426,7 @@ def e2_obstruction(ctx: GroupContext) -> Optional[ObstructionWitness]:
 
 
 def segment_orbit_census(ctx: GroupContext, n: int,
-                         cap: int = 100000) -> list[tuple[int, ...]]:
+                         cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """Representatives of length-n color sequences up to oriented
     F'-matchability (equivalently, up to the G(F,F') action on oriented
     segments with matched starts): the lexicographically first sequence

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import TreeLocalError
+from .errors import OutOfRange, SizeLimitExceeded, TreeLocalError
 from .autom import (
     Automorphism,
     Compose,
@@ -30,7 +30,7 @@ from .autom import (
     classify,
     power,
 )
-from .localaction import GroupContext, segment_orbit_census
+from .localaction import ENUMERATION_CAP, GroupContext, segment_orbit_census
 from .ratmat import pivot_positions, rank
 from .tree import BASE, Segment, Vertex, geodesic, reduced_words
 
@@ -66,11 +66,14 @@ def _window_counts(ctx: GroupContext, word: Sequence[int], n: int,
     labels of the pairs (w_j, w_{j+1}), and reversed slices of the labels
     of (w_{j+1}, w_j); for n = 1, of the pairs (w_j, w_j)."""
     orbital = ctx.orbital
-    if n == 1:
-        ahead = back = [orbital[x, x] for x in word]
-    else:
-        ahead = [orbital[x, y] for x, y in zip(word, word[1:])]
-        back = [orbital[y, x] for x, y in zip(word, word[1:])]
+    try:
+        if n == 1:
+            ahead = back = [orbital[x, x] for x in word]
+        else:
+            ahead = [orbital[x, y] for x, y in zip(word, word[1:])]
+            back = [orbital[y, x] for x, y in zip(word, word[1:])]
+    except KeyError:
+        raise OutOfRange(f"colors {list(word)} outside 1..{ctx.d}") from None
     k = max(1, n - 1)
     starts = range(start, min(stop, len(word) - n + 1))
     return (Counter(tuple(ahead[i:i + k]) for i in starts),
@@ -220,6 +223,21 @@ def cyclically_reduced_words(d: int, max_len: int,
                 yield w
 
 
+def _search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
+    """The cyclically reduced words of length 2..search_bound, once their
+    number is known to be within ENUMERATION_CAP.  The words of length n
+    with w_1 != w_n are the closed walks of length n on the complete graph
+    K_d: (d-1)^n + (-1)^n (d-1) of them."""
+    total = 0
+    for n in range(2, search_bound + 1):
+        total += (d - 1) ** n + (-1) ** n * (d - 1)
+        if total > ENUMERATION_CAP:
+            raise SizeLimitExceeded(
+                f"more than {ENUMERATION_CAP} words up to length "
+                f"{search_bound} at d = {d}")
+    return list(cyclically_reduced_words(d, search_bound))
+
+
 def nontriviality_witness(
         f: MedianQM, search_bound: int) -> Optional[tuple[Automorphism, Automorphism]]:
     """A pair (a, b) with homogenize(ab) != homogenize(a) + homogenize(b),
@@ -252,7 +270,7 @@ def find_nonvanishing_qm(
     carry a constant boundary correction, and the exact-agreement ones
     make the limit visible at finite n.
     """
-    words = list(cyclically_reduced_words(ctx.d, search_bound))
+    words = _search_words(ctx.d, search_bound)
     column = _AxisColumns(ctx, words)
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
@@ -295,7 +313,7 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
     translations and accept the first (representative, word) pair whose
     row and column strictly increase the exact rank of the accumulated
     matrix.  Stops as soon as the target is reached."""
-    words = list(cyclically_reduced_words(ctx.d, search_bound))
+    words = _search_words(ctx.d, search_bound)
     column = _AxisColumns(ctx, words)
     chosen_qms: list[MedianQM] = []
     chosen_words: list[int] = []

@@ -9,6 +9,7 @@ action of the free product of d copies of Z/2.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -271,6 +272,21 @@ class LineSpec:
         # v_0, v_1, ... and v_0, v_-1, ..., walked once and extended on demand;
         # not dataclass fields, so ==, hash and repr ignore them
         object.__setattr__(self, "_walked", ([self.anchor], [self.anchor]))
+
+    def tail(self, m: int = 1) -> tuple[int, int]:
+        """(seam, P) such that anything depending only on i mod m and on
+        the edge colors e(j) with |j - i| <= 3 or |j + i| <= 3 takes the
+        same value at i and i + P for i >= seam, and at i and i - P for
+        i <= -seam.
+
+        For |i| >= seam = (longer preamble) + 4, every such e(j) is a term
+        of a periodic part, so P = lcm(forward period, backward period, m)
+        works, and a check over the indices in [-seam - P, seam + P)
+        covers the whole line.
+        """
+        seam = max(len(self.forward.pre), len(self.backward.pre)) + 4
+        return seam, math.lcm(len(self.forward.period),
+                              len(self.backward.period), m)
 
     def edge_color(self, i: int) -> int:
         """Color of the edge (v_{i-1}, v_i)."""

@@ -12,6 +12,7 @@ from treelocal.autom import (
     Diagonal,
     Identity,
     Inverse,
+    SegmentPortrait,
     SubtreeDiagonal,
     WordTranslation,
 )
@@ -22,7 +23,7 @@ from treelocal.permgroups import (
     find_mapping,
     preserves_orbits,
 )
-from treelocal.tree import Vertex, reduced_words
+from treelocal.tree import Segment, Vertex, distance, reduced_words
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +94,34 @@ def pairwise_census(match: SlotwiseMatcher, n: int) -> list[tuple[int, ...]]:
         if not any(match(seq, rep) for rep in reps):
             reps.append(seq)
     return reps
+
+
+def scan_transport_into_line(ctx: GroupContext, s: Segment, L,
+                             parity: str = "even"):
+    """The radius scan that transport_into_line replaced, an oracle for
+    it: try the anchor indices 0, 1, -1, 2, -2, ... up to radius 63 and
+    take the first of the right parity whose slots all solve (least
+    element of F, else of F', per slot).  Returns (index, element), or
+    None when the scan finds nothing."""
+    n = s.length
+    for radius in range(0, 64):
+        for j in ([0] if radius == 0 else [radius, -radius]):
+            if parity == "even" and distance(s.start, L.vertex(j)) % 2 != 0:
+                continue
+            target = Segment(L.vertex(j),
+                             tuple(L.edge_color(j + i) for i in range(1, n + 1)))
+            sigmas = []
+            for i in range(n + 1):
+                cons = [(s.colors[k], target.colors[k])
+                        for k in (i - 1, i) if 0 <= k < n]
+                rho = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
+                if rho is None:
+                    break
+                sigmas.append(rho)
+            else:
+                return j, SegmentPortrait(s.vertices(), target.vertices(),
+                                          sigmas, ctx.F)
+    return None
 
 
 def random_reduced_word(rng: random.Random, d: int, length: int) -> Vertex:

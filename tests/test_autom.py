@@ -402,7 +402,7 @@ class TestProjectionLemma:
     def test_segment_transport(self, ctx4):
         s = Segment(Vertex((2, 3)), (1, 2, 4))
         s2 = Segment(Vertex((1,)), (3, 1, 2))
-        g = segment_transport(ctx4, s, s2).element
+        g = segment_transport(ctx4, s, s2)
         skeleton = set(g.skeleton)
         self.check(g, skeleton.__contains__, [g.skeleton[0], g.skeleton[-1]], 4)
 

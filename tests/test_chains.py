@@ -20,6 +20,7 @@ from treelocal.chains import (
     restriction_correspondence_check,
 )
 from treelocal.localaction import build_line
+from treelocal.ratmat import rank
 from treelocal.tree import BASE, Vertex, ball, is_aligned
 
 
@@ -73,6 +74,14 @@ class TestChains:
 
 
 class TestExactness:
+    def test_each_rank_once(self, monkeypatch):
+        # six points, degree 4: the boundaries of degrees 0..5, one rank each
+        import treelocal.chains as chains
+        calls = []
+        monkeypatch.setattr(chains, "rank", lambda m: calls.append(m) or rank(m))
+        assert exactness_check(ComplexWindow(tuple(ball(BASE, 2, 3))[:6], 4))
+        assert len(calls) == 6
+
     def test_small_windows(self):
         points = list(ball(BASE, 2, 3))[:5]
         for size in (2, 3, 4, 5):

@@ -8,6 +8,7 @@ from treelocal.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 from treelocal.tree import ball_size
 
 SPEC3 = {"d": 3, "F": ["(1 2 3)"], "Fprime": ["(1 2 3)", "(1 2)"]}
+SPEC4 = {"d": 4, "F": ["(1 2 3 4)"], "Fprime": ["(1 2 3 4)", "(1 2)"]}
 SPECD4 = {"d": 4, "F": ["(1 2 3 4)"], "Fprime": ["(1 2 3 4)", "(1 3)"]}
 BAD = {"d": 3, "F": ["(1 2)"], "Fprime": ["(1 2 3)", "(1 2)"]}
 
@@ -16,6 +17,13 @@ BAD = {"d": 3, "F": ["(1 2)"], "Fprime": ["(1 2 3)", "(1 2)"]}
 def spec3(tmp_path):
     p = tmp_path / "spec3.json"
     p.write_text(json.dumps(SPEC3))
+    return str(p)
+
+
+@pytest.fixture
+def spec4(tmp_path):
+    p = tmp_path / "spec4.json"
+    p.write_text(json.dumps(SPEC4))
     return str(p)
 
 
@@ -101,6 +109,17 @@ class TestElement:
         data = json.loads(out)
         assert data["exact"] is True
         assert data["singular"] == []
+
+    def test_certify_line_with_singular_tail(self, capsys, spec4):
+        line = {"anchor": "e", "forward": {"pre": [1, 2] * 15, "period": [1, 2, 3]},
+                "backward": {"period": [2, 1]}}
+        expr = json.dumps({"op": "line", "kind": "t", "line": line})
+        code, out, _ = run(capsys, "element", "certify", "--spec", spec4,
+                           "--element", expr, "--radius", "2")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["singular"] == []
+        assert data["exact"] is False
 
     def test_no_element_given(self, capsys):
         code, _, err = run(capsys, "element", "classify", "--d", "3")
@@ -188,6 +207,7 @@ class TestMalformedInput:
         ("tree", "dot", "--d", "2"),
         ("qm", "eval", "--segment", '{"start": "e", "colors": [1, 7]}',
          "--word", "1.2"),
+        ("qm", "independence", "--bound", "12"),
     ])
     def test_exits_1_with_one_line(self, capsys, specd4, argv):
         if argv[0] == "qm":

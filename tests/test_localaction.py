@@ -6,9 +6,11 @@ import random
 import pytest
 
 from treelocal.errors import (
+    ConstraintUnsolvable,
     LengthMismatch,
     NotStabilizing,
     NotTwoTransitive,
+    OutOfRange,
     TreeLocalError,
 )
 from treelocal.permgroups import is_2transitive_direct, trivial_group
@@ -22,6 +24,7 @@ from treelocal.autom import (
     equal_on_ball,
     power,
 )
+from treelocal.medianqm import eval_colors
 from treelocal.localaction import (
     GroupContext,
     boundary_escape_witness,
@@ -38,12 +41,21 @@ from treelocal.localaction import (
     translation_t,
     transport_into_line,
 )
-from treelocal.tree import BASE, Segment, Vertex, distance
+from treelocal.tree import (
+    BASE,
+    EventuallyPeriodic,
+    LineSpec,
+    Segment,
+    Vertex,
+    ball,
+    distance,
+)
 
 from conftest import (
     SlotwiseMatcher,
     pairwise_census,
     random_reduced_word,
+    scan_transport_into_line,
     valid_contexts,
 )
 
@@ -163,9 +175,8 @@ class TestTransport:
     def test_segment_transport_maps_vertices(self, ctx3):
         s = Segment(Vertex((1, 2)), (1, 3))
         s2 = Segment(Vertex((3,)), (2, 1))
-        res = segment_transport(ctx3, s, s2)
-        assert res is not None
-        g = res.element
+        g = segment_transport(ctx3, s, s2)
+        assert g is not None
         for u, x in zip(s.vertices(), s2.vertices()):
             assert g.apply(u) == x
 
@@ -174,7 +185,7 @@ class TestTransport:
         s2 = Segment(BASE, (2, 3, 1))
         res = segment_transport(ctx3, s, s2)
         assert res is not None
-        assert certify_membership(res.element, ctx3.F, ctx3.Fp, 4).exact
+        assert certify_membership(res, ctx3.F, ctx3.Fp, 4).exact
 
     def test_segment_transport_none_when_unmatchable(self, ctxd4):
         res = segment_transport(ctxd4, Segment(BASE, (1, 2)),
@@ -192,11 +203,33 @@ class TestTransport:
                                  if k != start[-1]
                                  and (len(colors) < 2 or k != colors[1]))
             s = Segment(start, tuple(colors))
-            res = transport_into_line(ctx3, s, L, parity="even")
-            g = res.element
+            g = transport_into_line(ctx3, s, L, parity="even")
             assert all(L.index_of(g.apply(v)) is not None
                        for v in s.vertices())
             assert distance(s.start, g.apply(s.start)) % 2 == 0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_transport_into_line_equals_radius_scan(self, d):
+        rng = random.Random(d)
+        for ctx in valid_contexts(d):
+            if not is_2transitive_direct(ctx.Fp):
+                continue
+            L, _, _ = build_line(ctx)
+            segments = [Segment(start, colors)
+                        for start in (BASE, Vertex((1,)), Vertex((2, 1)))
+                        for n in range(3) for colors in color_sequences(d, n)]
+            segments += [Segment(random_reduced_word(rng, d, rng.randint(0, 3)),
+                                 tuple(random_reduced_word(rng, d, rng.randint(3, 5))))
+                         for _ in range(6)]
+            for s in segments:
+                for parity in ("even", "any"):
+                    g = transport_into_line(ctx, s, L, parity)
+                    j, oracle = scan_transport_into_line(ctx, s, L, parity)
+                    assert j in (0, 1)
+                    assert g.apply(s.start) == L.vertex(j)
+                    assert equal_on_ball(g, oracle, 3)
+                    assert all(g.local(v) == oracle.local(v)
+                               for v in ball(BASE, 3, d))
 
     def test_transport_into_line_needs_2transitivity(self, ctxd4):
         L, _, _ = build_line(ctxd4)
@@ -255,6 +288,48 @@ class TestLine:
         # the translation alone only reaches every other edge
         assert not edge_transitivity_check(ctx3, L, [t], 8)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sigma_periodic_past_seam(self, d):
+        for ctx in valid_contexts(d):
+            L, tau, cycle = build_line(ctx)
+            for g in (translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)):
+                seam, period = g.seam, g.period
+                for i in range(seam, 81):
+                    assert g.sigma_at(i + period) == g.sigma_at(i)
+                    assert g.sigma_at(-i - period) == g.sigma_at(-i)
+
+    def test_singular_tail_past_preamble_not_exact(self, ctx4):
+        # past index 30 the colors repeat 1, 2, 3, so the translation must
+        # send (1, 2) to (3, 1) and (3, 1) to (2, 3), which no rotation of
+        # the square does: two of every three line indices are singular
+        L = LineSpec(BASE, EventuallyPeriodic((1, 2) * 15, (1, 2, 3)),
+                     EventuallyPeriodic((), (2, 1)))
+        t = translation_t(ctx4, L)
+        assert t.seam == 34 and t.period == 6
+        assert [t.sigma_at(i) in ctx4.F for i in range(31, 37)] == \
+            [False, True, False] * 2
+        assert not t.is_exact(ctx4.F)
+        assert not certify_membership(t, ctx4.F, ctx4.Fp, 2).exact
+
+    def test_regular_tails_past_preamble_exact(self, ctx4):
+        # the seam at index 30 needs (4, 1) -> (2, 1), outside F, but both
+        # tails alternate two colors, where the identity fits
+        L = LineSpec(BASE, EventuallyPeriodic((3, 4) * 15, (1, 2)),
+                     EventuallyPeriodic((), (2, 1)))
+        t = translation_t(ctx4, L)
+        assert t.sigma_at(30) not in ctx4.F
+        assert t.is_exact(ctx4.F)
+
+    def test_unsolvable_slot_past_preamble_refused(self, ctxd4):
+        # past index 30 the forward colors alternate 1, 3: the rotation
+        # would send the diagonal pair (1, 3) of the square onto an edge
+        # pair of the backward side, which the dihedral group cannot
+        L = LineSpec(BASE, EventuallyPeriodic((1, 2) * 15, (1, 3)),
+                     EventuallyPeriodic((), (2, 1)))
+        _, tau, cycle = build_line(ctxd4)
+        with pytest.raises(ConstraintUnsolvable):
+            rotation_r(ctxd4, L, tau, cycle)
+
     def test_line_elements_for_dihedral_pair(self, ctxd4):
         L, tau, cycle = build_line(ctxd4)
         t = translation_t(ctxd4, L)
@@ -262,6 +337,18 @@ class TestLine:
         cls = classify(t)
         assert isinstance(cls, Loxodromic) and cls.length == 2
         assert all(r.apply(L.vertex(i)) == L.vertex(-i) for i in range(-6, 7))
+
+
+class TestColorRange:
+    def test_color_outside_degree(self, ctx4):
+        bad, good = (1, 7), (1, 2)
+        with pytest.raises(OutOfRange):
+            colors_matchable(ctx4, bad, good)
+        with pytest.raises(OutOfRange):
+            is_translate(ctx4, Segment(BASE, bad), Segment(BASE, good))
+        for word, pattern in ((bad, good), (good, bad)):
+            with pytest.raises(OutOfRange):
+                eval_colors(ctx4, word, pattern)
 
 
 class TestBoundaryEscape:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treelocal.errors import SizeLimitExceeded
 from treelocal.autom import Compose, Inverse, WordTranslation, power
 from treelocal.ratmat import rank
 from treelocal.medianqm import (
@@ -23,6 +24,7 @@ from treelocal.medianqm import (
     nontriviality_witness,
     reduced_words,
 )
+from treelocal.medianqm import _search_words
 from treelocal.tree import BASE, Segment, Vertex
 
 from conftest import (
@@ -190,6 +192,25 @@ class TestWordEnumeration:
 
     def test_eval_colors_signed(self, ctxd4):
         assert eval_colors(ctxd4, (1, 2, 1, 2), (1, 2)) == 0
+
+    def test_search_words_closed_form_count(self):
+        # words of length n with w_1 != w_n: (d-1)^n + (-1)^n (d-1)
+        for d in (3, 4, 5):
+            for n in range(2, 7):
+                assert len(_search_words(d, n)) - len(_search_words(d, n - 1)) \
+                    == (d - 1) ** n + (-1) ** n * (d - 1)
+        assert len(_search_words(4, 8)) == 9840
+
+    def test_search_words_capped_before_enumeration(self, ctxd4):
+        # d = 4: bound 10 gives 88,572 words, bound 11 gives 265,716
+        assert len(_search_words(4, 10)) == 88572
+        for bound in (11, 12, 20, 10 ** 9):
+            with pytest.raises(SizeLimitExceeded):
+                _search_words(4, bound)
+        with pytest.raises(SizeLimitExceeded):
+            find_nonvanishing_qm(ctxd4, 2, 12)
+        with pytest.raises(SizeLimitExceeded):
+            independence_search(ctxd4, 3, 2, 12)
 
 
 # The window counts and searches as first written, on the slotwise oracle
