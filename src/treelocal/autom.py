@@ -22,6 +22,7 @@ from .errors import (
     InconsistentPortrait,
     OrbitViolation,
     RadiusExhausted,
+    SizeLimitExceeded,
     TreeLocalError,
 )
 from .permgroups import PermGroup, Permutation, find_mapping
@@ -33,11 +34,17 @@ from .tree import (
     ball,
     distance,
     edge_between,
-    geodesic,
+    geodesic_colors,
     midpoint,
     neighbor,
     reduce_word,
 )
+
+
+#: The largest line period P that LinePortrait checks; its construction
+#: costs seam + P sigma_at calls on each side, and the canonical lines
+#: have P <= 12.
+LINE_PERIOD_CAP = 10000
 
 
 class Automorphism:
@@ -88,7 +95,7 @@ def _walk_image(g: Automorphism, start: Vertex, start_image: Vertex,
     is known, stepping the image side by the local permutation."""
     u = start
     x = start_image
-    for k in geodesic(start, v).colors:
+    for k in geodesic_colors(start, v):
         if check_edges:
             w = neighbor(u, k)
             if g.local(u)(k) != g.local(w)(k):
@@ -256,6 +263,8 @@ class FilledPortrait(Automorphism):
         super().__init__(fill.degree)
         self.fill = fill
         self.anchor = anchor
+        # _fill_element's answers, at most d^2 of them
+        self._fill_memo: dict[tuple[int, int], Permutation] = {}
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         raise NotImplementedError
@@ -274,7 +283,7 @@ class FilledPortrait(Automorphism):
         from the far end keeps the evaluation depth independent of the
         distance."""
         steps = []
-        for k in geodesic(v, self.anchor).colors:
+        for k in geodesic_colors(v, self.anchor):
             u = neighbor(v, k)
             steps.append((v, u, k))
             if u in memo or self._skeleton_index(u) is not None:
@@ -287,12 +296,20 @@ class FilledPortrait(Automorphism):
         if i is not None:
             return self._skeleton_sigma(i)
         for w, u, k in reversed(self._steps(v, self._local_memo)):
-            target = self.local(u)(k)
+            sol = self._fill_element(k, self.local(u)(k), w)
+            self._local_memo[w] = sol
+        return sol
+
+    def _fill_element(self, k: int, target: int, at: Vertex) -> Permutation:
+        """The least fill element sending color k to target, solved once
+        per one-point constraint; OrbitViolation names the vertex at."""
+        sol = self._fill_memo.get((k, target))
+        if sol is None:
             sol = find_mapping(self.fill, [(k, target)])
             if sol is None:
                 raise OrbitViolation(
-                    f"no fill element maps color {k} to {target} at {w}")
-            self._local_memo[w] = sol
+                    f"no fill element maps color {k} to {target} at {at}")
+            self._fill_memo[k, target] = sol
         return sol
 
     def _apply(self, v: Vertex) -> Vertex:
@@ -364,7 +381,8 @@ class LinePortrait(FilledPortrait):
     By LineSpec.tail, sigma_at and every edge condition then repeat with
     period P past index +-seam, so checking the edges up to the seam plus
     one period on each side checks the whole line, and so does the
-    membership of sigma_at in F on one period of each tail.
+    membership of sigma_at in F on one period of each tail.  A period
+    above LINE_PERIOD_CAP raises SizeLimitExceeded before any check.
     """
 
     def __init__(self, line: LineSpec, index_image: Callable[[int], int],
@@ -375,6 +393,10 @@ class LinePortrait(FilledPortrait):
         self.index_image = index_image
         self.sigma_at = sigma_at
         self.seam, self.period = line.tail(m)
+        if self.period > LINE_PERIOD_CAP:
+            raise SizeLimitExceeded(
+                f"line period {self.period} exceeds LINE_PERIOD_CAP "
+                f"{LINE_PERIOD_CAP}")
         self._check()
 
     def _check(self):
@@ -455,7 +477,7 @@ class Inverse(Automorphism):
         u, x = BASE, self.g.apply(BASE)
         if self._last is not None and distance(self._last[1], v) < distance(x, v):
             u, x = self._last
-        for c in geodesic(x, v).colors:
+        for c in geodesic_colors(x, v):
             k = self.g.local(u).inv()(c)
             u = neighbor(u, k)
             x = neighbor(x, c)

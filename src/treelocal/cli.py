@@ -12,6 +12,7 @@ default run-configuration fields; --config overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -355,9 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(handlers: tuple) -> argparse.ArgumentParser:
+    """build_parser, once per process.  Keyed by the cmd_* handlers that
+    main sees when called, so a handler replaced after the first call (by
+    a wrapper or a test double) gets a parser that binds it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handlers = (cmd_group_validate, cmd_branch, cmd_element, cmd_qm,
+                cmd_chains, cmd_tree)
+    args = _parser(handlers).parse_args(argv)
     return args.func(args)
 
 

@@ -10,9 +10,9 @@ action of the free product of d copies of Z/2.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import TreeLocalError
 
@@ -156,11 +156,16 @@ class Segment:
         return Segment(self.end, tuple(reversed(self.colors)))
 
 
+def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:
+    """The step colors of the geodesic from u to v, lazily: up from u to
+    the common prefix, then down to v.  Nothing is validated or built."""
+    c = _common_prefix_len(u, v)
+    return chain(reversed(u[c:]), v[c:])
+
+
 def geodesic(u: Vertex, v: Vertex) -> Segment:
     """The geodesic segment from u to v."""
-    c = _common_prefix_len(u, v)
-    colors = tuple(reversed(u[c:])) + tuple(v[c:])
-    return Segment(u, colors)
+    return Segment(u, tuple(geodesic_colors(u, v)))
 
 
 PointOrMid = Union[Vertex, EdgeRef]
@@ -183,16 +188,19 @@ def ball(v: Vertex, R: int, d: int) -> Iterator[Vertex]:
     if d < 3:
         raise TreeLocalError(f"degree {d} < 3")
     yield v
-    frontier = [v]
+    # back[i] is the color of the edge from frontier[i] toward v (0 at v);
+    # every other edge leads one step farther out
+    frontier, back = [v], [0]
     for _ in range(R):
-        fresh = []
-        for u in frontier:
+        fresh, fresh_back = [], []
+        for u, b in zip(frontier, back):
             for k in range(1, d + 1):
-                w = neighbor(u, k)
-                if distance(w, v) > distance(u, v):
+                if k != b:
+                    w = neighbor(u, k)
                     fresh.append(w)
+                    fresh_back.append(k)
                     yield w
-        frontier = fresh
+        frontier, back = fresh, fresh_back
 
 
 def ball_size(R: int, d: int) -> int:
@@ -269,9 +277,11 @@ class LineSpec:
         for i in range(-w, w):
             if self.edge_color(i) == self.edge_color(i + 1):
                 raise TreeLocalError(f"line backtracks at index {i}")
-        # v_0, v_1, ... and v_0, v_-1, ..., walked once and extended on demand;
-        # not dataclass fields, so ==, hash and repr ignore them
+        # v_0, v_1, ... and v_0, v_-1, ..., walked once and extended on
+        # demand, and the index of every walked vertex; not dataclass fields,
+        # so ==, hash and repr ignore them
         object.__setattr__(self, "_walked", ([self.anchor], [self.anchor]))
+        object.__setattr__(self, "_index", {self.anchor: 0})
 
     def tail(self, m: int = 1) -> tuple[int, int]:
         """(seam, P) such that anything depending only on i mod m and on
@@ -295,12 +305,14 @@ class LineSpec:
         return self.backward.term(1 - i)
 
     def _walk(self, i: int) -> Vertex:
-        """v_i, extending the walked vertex lists toward |i|."""
-        side, colors = ((self._walked[0], self.forward) if i >= 0
-                        else (self._walked[1], self.backward))
+        """v_i, extending the walked vertex lists and the index toward |i|."""
+        side, colors, sign = ((self._walked[0], self.forward, 1) if i >= 0
+                              else (self._walked[1], self.backward, -1))
         n = abs(i)
         while len(side) <= n:
-            side.append(neighbor(side[-1], colors.term(len(side))))
+            w = neighbor(side[-1], colors.term(len(side)))
+            self._index[w] = sign * len(side)
+            side.append(w)
         return side[n]
 
     def vertex(self, i: int) -> Vertex:
@@ -310,12 +322,13 @@ class LineSpec:
     def index_of(self, v: Vertex) -> int | None:
         """Index of v on the line, or None when v is off the line.
 
-        The line is a geodesic through v_0, so v can only be v_n or v_-n
-        for n = d(v_0, v).
+        The line is a geodesic through v_0, so v can only be v_i with
+        |i| = d(v_0, v) <= len(v) + len(v_0).  Once both sides are walked
+        that far, one lookup in the index answers.
         """
-        n = distance(self.anchor, v)
-        if self._walk(n) == v:
-            return n
-        if self._walk(-n) == v:
-            return -n
-        return None
+        n = len(v) + len(self.anchor)
+        forward, backward = self._walked
+        if len(forward) <= n or len(backward) <= n:
+            self._walk(n)
+            self._walk(-n)
+        return self._index.get(v)

@@ -23,7 +23,7 @@ from treelocal.permgroups import (
     find_mapping,
     preserves_orbits,
 )
-from treelocal.tree import Segment, Vertex, distance, reduced_words
+from treelocal.tree import Segment, Vertex, distance, neighbor, reduced_words
 
 
 @pytest.fixture(scope="session")
@@ -121,6 +121,34 @@ def scan_transport_into_line(ctx: GroupContext, s: Segment, L,
             else:
                 return j, SegmentPortrait(s.vertices(), target.vertices(),
                                           sigmas, ctx.F)
+    return None
+
+
+def distance_filter_ball(v: Vertex, R: int, d: int) -> list[Vertex]:
+    """ball(v, R) by the breadth-first search that keeps a neighbor w of
+    a frontier vertex u when d(w, v) > d(u, v), an oracle for ball."""
+    out = [v]
+    frontier = [v]
+    for _ in range(R):
+        fresh = []
+        for u in frontier:
+            for k in range(1, d + 1):
+                w = neighbor(u, k)
+                if distance(w, v) > distance(u, v):
+                    fresh.append(w)
+        out.extend(fresh)
+        frontier = fresh
+    return out
+
+
+def distance_index_of(L, v: Vertex):
+    """LineSpec.index_of by distance: v can only be v_n or v_-n for
+    n = d(v_0, v), an oracle for the index lookup."""
+    n = distance(L.anchor, v)
+    if L.vertex(n) == v:
+        return n
+    if L.vertex(-n) == v:
+        return -n
     return None
 
 

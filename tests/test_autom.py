@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treelocal.errors import TreeLocalError
+from treelocal import autom
+from treelocal.errors import OrbitViolation, SizeLimitExceeded, TreeLocalError
 from treelocal.permgroups import (
     Permutation,
+    find_mapping,
     generate,
     parse_cycles,
     symmetric_group,
@@ -21,7 +23,9 @@ from treelocal.autom import (
     InversionMove,
     Inverse,
     Loxodromic,
+    LinePortrait,
     Patched,
+    SegmentPortrait,
     SubtreeDiagonal,
     WordTranslation,
     certify_membership,
@@ -42,6 +46,7 @@ from treelocal.localaction import (
 from treelocal.serialize import decode_element
 from treelocal.tree import (
     BASE,
+    EventuallyPeriodic,
     LineSpec,
     Segment,
     Vertex,
@@ -53,7 +58,7 @@ from treelocal.tree import (
     reduce_word,
 )
 
-from conftest import random_composite, random_reduced_word
+from conftest import random_composite, random_reduced_word, valid_contexts
 
 
 class TestBasicElements:
@@ -435,3 +440,77 @@ class TestPortraitCost:
         t = translation_t(ctx4, L)
         certify_membership(t, ctx4.F, ctx4.Fp, 8)
         assert calls <= ball_size(8, 4) == 13121
+
+    def test_one_fill_solve_per_color_constraint(self, ctx4, monkeypatch):
+        L, tau, cycle = build_line(ctx4)
+        for g in (translation_t(ctx4, L), rotation_r(ctx4, L, tau, cycle)):
+            calls = 0
+
+            def counting(G, constraints):
+                nonlocal calls
+                calls += 1
+                return find_mapping(G, constraints)
+
+            with monkeypatch.context() as m:
+                m.setattr(autom, "find_mapping", counting)
+                certify_membership(g, ctx4.F, ctx4.Fp, 8)
+            assert 0 < calls <= 4 * 4
+
+
+class TestFillSolve:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_memoized_solve_equals_find_mapping(self, d):
+        for ctx in valid_contexts(d):
+            for fill in (ctx.F, ctx.Fp):
+                g = SegmentPortrait([BASE], [BASE], [Permutation.identity(d)],
+                                    fill)
+                for _ in range(2):  # cold, then from the memo
+                    for k in range(1, d + 1):
+                        for target in range(1, d + 1):
+                            want = find_mapping(fill, [(k, target)])
+                            if want is None:
+                                with pytest.raises(OrbitViolation):
+                                    g._fill_element(k, target, BASE)
+                            else:
+                                assert g._fill_element(k, target, BASE) == want
+
+    def test_unsolvable_constraint_raises(self):
+        # the fill group <(1 2)> cannot send color 3 anywhere else, so the
+        # neighbor 1.3 of the skeleton vertex 1 has no fill element
+        fill = generate([parse_cycles("(1 2)", 3)], 3)
+        g = SegmentPortrait([BASE, Vertex((1,))], [BASE, Vertex((3,))],
+                            [Permutation((3, 2, 1))] * 2, fill)
+        with pytest.raises(OrbitViolation):
+            g.local(Vertex((1, 3)))
+
+
+def coprime_period_line() -> LineSpec:
+    """Periods of 101 and 103 colors: P = 10,403 at m = 1."""
+    return LineSpec(BASE, EventuallyPeriodic((), (1, 2, 3) * 33 + (1, 2)),
+                    EventuallyPeriodic((), (3, 4) * 51 + (1,)))
+
+
+class TestLinePeriodCap:
+    def test_over_cap_raises_before_any_check(self, ctx4):
+        asked = []
+
+        def sigma_at(i):
+            asked.append(i)
+            return Permutation.identity(4)
+
+        with pytest.raises(SizeLimitExceeded, match="10403"):
+            LinePortrait(coprime_period_line(), lambda i: i, sigma_at, ctx4.F)
+        assert asked == []
+
+    def test_translation_over_cap(self, ctx4):
+        with pytest.raises(SizeLimitExceeded):
+            translation_t(ctx4, coprime_period_line())
+
+    def test_cap_is_inclusive(self, ctx4, monkeypatch):
+        L, tau, cycle = build_line(ctx4)
+        P = rotation_r(ctx4, L, tau, cycle).period
+        monkeypatch.setattr(autom, "LINE_PERIOD_CAP", P)
+        rotation_r(ctx4, L, tau, cycle)
+        monkeypatch.setattr(autom, "LINE_PERIOD_CAP", P - 1)
+        with pytest.raises(SizeLimitExceeded):
+            rotation_r(ctx4, L, tau, cycle)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treelocal import cli
 from treelocal.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
 from treelocal.tree import ball_size
 
@@ -120,6 +121,17 @@ class TestElement:
         data = json.loads(out)
         assert data["singular"] == []
         assert data["exact"] is False
+
+    def test_line_period_over_cap_exits_1(self, capsys, spec4):
+        line = {"anchor": "e",
+                "forward": {"period": [1, 2, 3] * 33 + [1, 2]},
+                "backward": {"period": [3, 4] * 51 + [1]}}
+        expr = json.dumps({"op": "line", "kind": "t", "line": line})
+        code, out, err = run(capsys, "element", "build", "--spec", spec4,
+                             "--element", expr)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "10403" in err and err.count("\n") == 1
 
     def test_no_element_given(self, capsys):
         code, _, err = run(capsys, "element", "classify", "--d", "3")
@@ -254,3 +266,30 @@ class TestBranchCommand:
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["parameters"]["sample_size"] == 5
+
+    def test_parser_built_once_per_process(self, capsys, spec3, monkeypatch):
+        seeded = ("branch", spec3, "--seed", "3")
+        plain = ("branch", spec3)
+        alone = []
+        for argv in (seeded, plain):
+            cli._parser.cache_clear()  # as in a fresh process
+            alone.append(run(capsys, *argv))
+        assert alone[0][1] != alone[1][1]
+        built = 0
+        build_parser = cli.build_parser
+
+        def counting():
+            nonlocal built
+            built += 1
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert [run(capsys, *seeded), run(capsys, *plain)] == alone
+        assert built == 1
+
+    def test_handler_replaced_after_first_call_is_bound(self, capsys,
+                                                         monkeypatch):
+        run(capsys, "tree", "ball")
+        monkeypatch.setattr(cli, "cmd_tree", lambda args: 7)
+        assert main(["tree", "ball"]) == 7

@@ -24,6 +24,9 @@ from treelocal.tree import (
     reduce_word,
     vertex_key,
 )
+from treelocal.localaction import build_line
+
+from conftest import distance_filter_ball, distance_index_of
 
 
 def word_strategy(d: int, max_len: int = 8):
@@ -144,6 +147,13 @@ class TestBall:
         assert len(vs) == len(set(vs))
         assert all(distance(Vertex((2,)), v) <= 3 for v in vs)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("center", ["e", "1", "2.3.1"])
+    def test_equals_distance_filter_in_order(self, d, center):
+        v = Vertex.parse(center)
+        for R in range(6):
+            assert list(ball(v, R, d)) == distance_filter_ball(v, R, d)
+
 
 class TestAlignment:
     def test_matches_bruteforce_small(self):
@@ -223,9 +233,23 @@ class TestLineSpec:
             if v not in on_line:
                 assert L.index_of(v) is None
 
+    def test_index_of_equals_distance_oracle(self, ctx3, ctx4, ctxd4):
+        lines = [(build_line(ctx)[0], ctx.d) for ctx in (ctx3, ctx4, ctxd4)]
+        lines.append((LineSpec(Vertex((2, 3)), EventuallyPeriodic((3, 2), (1, 4)),
+                               EventuallyPeriodic((1,), (2, 4))), 4))
+        for L, d in lines:
+            # a fresh copy, so its index grows from the queries below only
+            fresh = LineSpec(L.anchor, L.forward, L.backward)
+            for v in ball(L.anchor, 6, d):
+                assert fresh.index_of(v) == distance_index_of(L, v)
+            for i in range(-40, 41):
+                v = L.vertex(i)
+                assert fresh.index_of(v) == distance_index_of(L, v) == i
+
     def test_walk_table_is_not_part_of_equality(self):
         L, L2 = self.line(), self.line()
         L.vertex(30)
+        L.index_of(Vertex((3, 1, 3)))
         assert L == L2 and hash(L) == hash(L2) and repr(L) == repr(L2)
 
     def test_eventually_periodic_terms(self):
