@@ -25,7 +25,7 @@ from .errors import (
     SizeLimitExceeded,
     TreeLocalError,
 )
-from .permgroups import PermGroup, Permutation, find_mapping
+from .permgroups import PermGroup, Permutation, Solutions
 from .tree import (
     BASE,
     EdgeRef,
@@ -259,12 +259,13 @@ class FilledPortrait(Automorphism):
     (None off the skeleton), _skeleton_image and _skeleton_sigma.
     """
 
-    def __init__(self, fill: PermGroup, anchor: Vertex):
+    def __init__(self, fill: PermGroup, anchor: Vertex,
+                 solutions: Optional[Solutions] = None):
         super().__init__(fill.degree)
         self.fill = fill
         self.anchor = anchor
-        # _fill_element's answers, at most d^2 of them
-        self._fill_memo: dict[tuple[int, int], Permutation] = {}
+        # solves in the fill group, shared with the context that built us
+        self._solved = (Solutions() if solutions is None else solutions)[fill]
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         raise NotImplementedError
@@ -303,13 +304,10 @@ class FilledPortrait(Automorphism):
     def _fill_element(self, k: int, target: int, at: Vertex) -> Permutation:
         """The least fill element sending color k to target, solved once
         per one-point constraint; OrbitViolation names the vertex at."""
-        sol = self._fill_memo.get((k, target))
+        sol = self._solved[k, target]
         if sol is None:
-            sol = find_mapping(self.fill, [(k, target)])
-            if sol is None:
-                raise OrbitViolation(
-                    f"no fill element maps color {k} to {target} at {at}")
-            self._fill_memo[k, target] = sol
+            raise OrbitViolation(
+                f"no fill element maps color {k} to {target} at {at}")
         return sol
 
     def _apply(self, v: Vertex) -> Vertex:
@@ -327,7 +325,8 @@ class SegmentPortrait(FilledPortrait):
     vertex i maps to images[i] with local permutation sigmas[i]."""
 
     def __init__(self, vertices: Sequence[Vertex], images: Sequence[Vertex],
-                 sigmas: Sequence[Permutation], fill: PermGroup):
+                 sigmas: Sequence[Permutation], fill: PermGroup,
+                 solutions: Optional[Solutions] = None):
         if not (len(vertices) == len(images) == len(sigmas)):
             raise TreeLocalError("skeleton arrays must have equal lengths")
         if not vertices:
@@ -335,7 +334,7 @@ class SegmentPortrait(FilledPortrait):
         for a, b in zip(vertices, vertices[1:]):
             if distance(a, b) != 1:
                 raise TreeLocalError("skeleton vertices must be consecutive")
-        super().__init__(fill, vertices[0])
+        super().__init__(fill, vertices[0], solutions)
         self.skeleton = tuple(vertices)
         self.images = tuple(images)
         self.sigmas = tuple(sigmas)
@@ -387,8 +386,8 @@ class LinePortrait(FilledPortrait):
 
     def __init__(self, line: LineSpec, index_image: Callable[[int], int],
                  sigma_at: Callable[[int], Permutation], fill: PermGroup,
-                 m: int = 1):
-        super().__init__(fill, line.anchor)
+                 m: int = 1, solutions: Optional[Solutions] = None):
+        super().__init__(fill, line.anchor, solutions)
         self.line = line
         self.index_image = index_image
         self.sigma_at = sigma_at
@@ -539,6 +538,11 @@ def power(g: Automorphism, n: int) -> Automorphism:
 
 # --- displacement classification ---
 
+#: classify's default step bound R = base + per_unit * d(e, g e), as (base,
+#: per_unit).  The displacement drops at every step of the midpoint
+#: iteration, so d(e, g e) steps already suffice; the rest is margin.
+CLASSIFY_STEP_BOUND = (4, 2)
+
 
 @dataclass(frozen=True)
 class Elliptic:
@@ -569,7 +573,12 @@ def classify(g: Automorphism, R: Optional[int] = None) -> MoveClass:
     v = BASE
     disp = distance(v, g.apply(v))
     if R is None:
-        R = 4 + 2 * disp
+        base, per_unit = CLASSIFY_STEP_BOUND
+        R = base + per_unit * disp
+        bound = (f"{R} steps (CLASSIFY_STEP_BOUND: {base} + {per_unit} * "
+                 f"displacement {disp})")
+    else:
+        bound = f"{R} steps"
     for _ in range(R + 1):
         if disp == 0:
             return Elliptic(v)
@@ -581,7 +590,7 @@ def classify(g: Automorphism, R: Optional[int] = None) -> MoveClass:
             break
         v, disp = best, best_disp
     else:
-        raise RadiusExhausted(f"midpoint iteration did not settle within {R} steps")
+        raise RadiusExhausted(f"midpoint iteration did not settle within {bound}")
     gv = g.apply(v)
     if distance(v, g.apply(gv)) == 2 * disp:
         return Loxodromic(disp, v)

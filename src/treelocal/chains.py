@@ -7,7 +7,8 @@ usual alternating face sum, with the degree-0 boundary given by
 summation of coefficients (the augmentation).
 
 The aligned subcomplex keeps only tuples lying on a common geodesic.
-All linear algebra is exact rational arithmetic.
+Chain coefficients are exact rationals; boundary ranks are taken on
+integer matrices by fraction-free elimination (ratmat).
 """
 
 from __future__ import annotations
@@ -107,18 +108,17 @@ class ComplexWindow:
         return list(itertools.combinations(pts, n + 1))
 
 
-def _boundary_matrix(w: ComplexWindow, n: int) -> list[list[Fraction]]:
-    """Matrix of the degree-n boundary in the canonical bases, rows indexed
-    by the degree-(n-1) basis (by the augmentation for n = 0)."""
+def _boundary_matrix(w: ComplexWindow, n: int) -> list[list[int]]:
+    """Integer matrix of the degree-n boundary in the canonical bases, rows
+    indexed by the degree-(n-1) basis (by the augmentation for n = 0)."""
     dom = w.basis(n)
     if n == 0:
-        return [[Fraction(1)] * len(dom)]
+        return [[1] * len(dom)]
     cod = {t: i for i, t in enumerate(w.basis(n - 1))}
-    out = [[Fraction(0)] * len(dom) for _ in range(len(cod))]
+    out = [[0] * len(dom) for _ in range(len(cod))]
     for col, tup in enumerate(dom):
         for j in range(len(tup)):
-            face = tup[:j] + tup[j + 1:]
-            out[cod[face]][col] += Fraction(1 if j % 2 == 0 else -1)
+            out[cod[tup[:j] + tup[j + 1:]]][col] = -1 if j % 2 else 1
     return out
 
 

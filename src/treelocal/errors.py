@@ -73,7 +73,3 @@ class NotStabilizing(TreeLocalError):
 
 class HypothesisUnverified(TreeLocalError):
     """A check was invoked without its hypotheses having been verified."""
-
-
-class SearchExhausted(TreeLocalError):
-    """A bounded search finished without finding a witness."""

@@ -35,7 +35,7 @@ from .errors import (
 from .permgroups import (
     PermGroup,
     Permutation,
-    find_mapping,
+    Solutions,
     is_2transitive_direct,
     orbits,
     pick_tau,
@@ -79,6 +79,10 @@ class GroupContext:
     # F'-orbital of every ordered pair (x, y), numbered by first pair met
     orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
                                                 compare=False)
+    # least solutions of constraint sets in F and F', shared by the slot
+    # solver and the fills of every portrait built from this context
+    solutions: Solutions = field(default_factory=Solutions, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 3:
@@ -192,7 +196,8 @@ def extend_from_segment(ctx: GroupContext, source: Segment, target: Segment,
         if p not in ctx.Fp:
             raise IncompatibleSigma(f"{p.cycle_string()} is not in F'")
     try:
-        return SegmentPortrait(source.vertices(), target.vertices(), sigmas, ctx.F)
+        return SegmentPortrait(source.vertices(), target.vertices(), sigmas,
+                               ctx.F, ctx.solutions)
     except InconsistentPortrait as exc:
         raise IncompatibleSigma(str(exc)) from exc
 
@@ -205,7 +210,8 @@ def _slot(ctx: GroupContext, cons: Sequence[tuple[int, int]],
     for cand in preferred:
         if cand in ctx.Fp and all(cand(x) == y for x, y in cons):
             return cand
-    sol = find_mapping(ctx.F, cons) or find_mapping(ctx.Fp, cons)
+    key = tuple(itertools.chain.from_iterable(cons))
+    sol = ctx.solutions[ctx.F][key] or ctx.solutions[ctx.Fp][key]
     if sol is None:
         raise ConstraintUnsolvable(f"no F' element satisfies {cons}")
     return sol
@@ -287,7 +293,8 @@ def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
         return _slot(ctx, [(L.edge_color(i), L.edge_color(i + 2)),
                            (L.edge_color(i + 1), L.edge_color(i + 3))])
 
-    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F)
+    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F,
+                        solutions=ctx.solutions)
 
 
 def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
@@ -304,7 +311,8 @@ def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
                      [tau.power(i), tau.power(-i)])
 
     order = math.lcm(*map(len, tau.cycles()))
-    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order)
+    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order,
+                        solutions=ctx.solutions)
 
 
 def edge_transitivity_check(ctx: GroupContext, L: LineSpec,

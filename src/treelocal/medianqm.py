@@ -31,7 +31,7 @@ from .autom import (
     power,
 )
 from .localaction import ENUMERATION_CAP, GroupContext, segment_orbit_census
-from .ratmat import pivot_positions, rank
+from .ratmat import border, rank
 from .tree import BASE, Segment, Vertex, geodesic, reduced_words
 
 
@@ -294,7 +294,7 @@ class IndependenceCertificate:
 
 def independence_certificate(ctx: GroupContext, qms: Sequence[MedianQM],
                              elements: Sequence[Automorphism]) -> IndependenceCertificate:
-    """Matrix of homogenized values and its exact rational rank: a lower
+    """Matrix of homogenized values and its exact rank: a lower
     bound on the number of linearly independent homogeneous
     quasimorphisms among the rows."""
     if not qms:
@@ -312,28 +312,39 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
     Greedy: walk the segment orbit representatives; for each, scan word
     translations and accept the first (representative, word) pair whose
     row and column strictly increase the exact rank of the accumulated
-    matrix.  Stops as soon as the target is reached."""
+    matrix.  Stops as soon as the target is reached.
+
+    The accepted k x k matrix A is always invertible, so the bordered
+    candidate [[A, c], [u, h]] has rank k + 1 iff its determinant is
+    nonzero; ratmat.border tests that from det A and adj A, kept as ints
+    and updated on each acceptance.  The row u, column c and corner h of a
+    word depend only on its axis, so an axis rejected once is rejected for
+    the rest of the representative."""
     words = _search_words(ctx.d, search_bound)
     column = _AxisColumns(ctx, words)
     chosen_qms: list[MedianQM] = []
+    chosen_keys: list[tuple[int, tuple[int, ...]]] = []
     chosen_words: list[int] = []
-    matrix: list[list[int]] = []
+    det, adj = 1, []
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
-            f = MedianQM(Segment(BASE, rep), BASE, ctx)
             key = ctx.orbital_word(rep)
-            for i, w in enumerate(words):
-                h = column(i, seg_len)[key]
-                if h == 0:
+            u = [column(j, seg_len)[key] for j in chosen_words]
+            rejected = set()
+            for i in range(len(words)):
+                if column.axes[i] in rejected:
                     continue
-                cand = [row + [column.value(i, g.s.length, ctx.orbital_word(g.s.colors))]
-                        for row, g in zip(matrix, chosen_qms)]
-                cand.append([column(j, seg_len)[key] for j in chosen_words] + [h])
-                if len(pivot_positions(cand)) == len(chosen_qms) + 1:
-                    chosen_qms.append(f)
-                    chosen_words.append(i)
-                    matrix = cand
-                    break
+                h = column(i, seg_len)[key]
+                if h:
+                    c = [column.value(i, n, k) for n, k in chosen_keys]
+                    new_det, new_adj = border(det, adj, u, c, h)
+                    if new_adj is not None:
+                        chosen_qms.append(MedianQM(Segment(BASE, rep), BASE, ctx))
+                        chosen_keys.append((seg_len, key))
+                        chosen_words.append(i)
+                        det, adj = new_det, new_adj
+                        break
+                rejected.add(column.axes[i])
             if len(chosen_qms) >= target_rank:
                 els = [WordTranslation(Vertex(words[j]), ctx.d) for j in chosen_words]
                 cert = independence_certificate(ctx, chosen_qms, els)

@@ -1,47 +1,77 @@
-"""Exact rational matrix rank via Gaussian elimination.
+"""Exact rank of integer matrices by fraction-free elimination.
 
-Small dense matrices only; everything is Fraction arithmetic, no floats.
+Small dense matrices only.  Elimination follows Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): after k pivot steps every entry below the pivot rows is a
+(k+1)-minor of the input, so each update divides exactly by the previous
+pivot and all arithmetic stays in Python ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+import operator
+from typing import Optional, Sequence
 
 
-def _to_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
+def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(pivot_positions(rows))
 
 
-def pivot_positions(rows: Sequence[Sequence]) -> list[tuple[int, int]]:
+def pivot_positions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """(row, column) pivot pairs of a row-echelon reduction, in original
     row indices; the pivot rows are independent and the square submatrix
-    on (pivot rows) x (pivot columns) is invertible."""
-    m = _to_fractions(rows)
+    on (pivot rows) x (pivot columns) is invertible.  The pivot of column c
+    is its first nonzero entry at or below the current row.  Entries must
+    be ints (TypeError otherwise)."""
+    m = [list(map(operator.index, row)) for row in rows]
     if not m:
         return []
     ncols = len(m[0])
     order = list(range(len(m)))
     pivots: list[tuple[int, int]] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         order[r], order[pivot] = order[pivot], order[r]
         pivots.append((order[r], c))
-        inv = Fraction(1) / m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[r][j]
+        top = m[r]
+        p = top[c]
+        # every row below is scaled by p / prev, also where its entry in
+        # column c is 0, so that the next division is exact
+        for row in m[r + 1:]:
+            a = row[c]
+            if not a and p == prev:
+                continue
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
         r += 1
         if r == len(m):
             break
     return pivots
+
+
+def border(det: int, adj: Sequence[Sequence[int]], u: Sequence[int],
+           c: Sequence[int], h: int) -> tuple[int, Optional[list[list[int]]]]:
+    """Determinant and adjugate of the bordered matrix M = [[A, c], [u, h]]
+    from det A != 0 and adj A (det 1 and [] when A is 0x0).
+
+    By the Schur complement, det M = det A * h - u adj(A) c, an O(k^2)
+    test of whether M is invertible.  When it is, the adjugate is
+    [[(det M adj A + adj(A) c u adj(A)) / det A, -adj(A) c],
+    [-u adj(A), det A]], whose first block divides exactly; when it is
+    not, the adjugate is None."""
+    k = len(adj)
+    adj_c = [sum(map(operator.mul, row, c)) for row in adj]
+    new_det = det * h - sum(map(operator.mul, u, adj_c))
+    if new_det == 0:
+        return 0, None
+    u_adj = [sum(u[i] * adj[i][j] for i in range(k)) for j in range(k)]
+    out = [[(new_det * adj[i][j] + adj_c[i] * u_adj[j]) // det for j in range(k)]
+           + [-adj_c[i]] for i in range(k)]
+    out.append([-x for x in u_adj] + [det])
+    return new_det, out

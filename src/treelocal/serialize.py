@@ -41,7 +41,8 @@ def _field(obj, key: str, what: str, kind: type = object):
 
 def _colors(obj, key: str, what: str) -> tuple[int, ...]:
     value = _field(obj, key, what, list)
-    if not all(isinstance(k, int) for k in value):
+    # bool is a subclass of int, but JSON true is not a color
+    if not all(type(k) is int for k in value):
         raise TreeLocalError(f"{what} key {key!r} must be a list of ints")
     return tuple(value)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,36 @@ def distance_filter_ball(v: Vertex, R: int, d: int) -> list[Vertex]:
         out.extend(fresh)
         frontier = fresh
     return out
+
+
+def fraction_pivot_positions(rows) -> list[tuple[int, int]]:
+    """ratmat.pivot_positions by elimination over Fraction, an oracle for
+    the fraction-free elimination: the same pivot rule (the first nonzero
+    entry at or below the current row), so the same (row, column) pairs."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    order = list(range(len(m)))
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        order[r], order[pivot] = order[pivot], order[r]
+        pivots.append((order[r], c))
+        inv = Fraction(1) / m[r][c]
+        for i in range(r + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                for j in range(c, ncols):
+                    m[i][j] -= f * m[r][j]
+        r += 1
+        if r == len(m):
+            break
+    return pivots
 
 
 def distance_index_of(L, v: Vertex):

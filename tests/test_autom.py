@@ -5,8 +5,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treelocal import autom
-from treelocal.errors import OrbitViolation, SizeLimitExceeded, TreeLocalError
+from treelocal import autom, permgroups
+from treelocal.errors import (
+    OrbitViolation,
+    RadiusExhausted,
+    SizeLimitExceeded,
+    TreeLocalError,
+)
 from treelocal.permgroups import (
     Permutation,
     find_mapping,
@@ -37,6 +42,7 @@ from treelocal.autom import (
     power,
     singular_support,
 )
+from treelocal.analysis import validate_inputs
 from treelocal.localaction import (
     build_line,
     rotation_r,
@@ -186,6 +192,18 @@ class TestClassify:
         cls = classify(g)
         assert isinstance(cls, Loxodromic)
         assert cls.length == 2
+
+    def test_step_bound_named_in_error(self, monkeypatch):
+        # e lies off the axis, so the first step improves; no step is allowed
+        a = WordTranslation(Vertex((3, 1, 3)), 4)
+        g = Compose(a, Compose(WordTranslation(Vertex((1, 2)), 4), Inverse(a)))
+        monkeypatch.setattr(autom, "CLASSIFY_STEP_BOUND", (0, 0))
+        with pytest.raises(RadiusExhausted,
+                           match=r"0 steps \(CLASSIFY_STEP_BOUND: 0 \+ 0 \* "
+                                 r"displacement 8\)"):
+            classify(g)
+        with pytest.raises(RadiusExhausted, match=r"within 0 steps$"):
+            classify(g, R=0)
 
     def test_length_against_minimal_displacement(self):
         rng = random.Random(17)
@@ -441,20 +459,24 @@ class TestPortraitCost:
         certify_membership(t, ctx4.F, ctx4.Fp, 8)
         assert calls <= ball_size(8, 4) == 13121
 
-    def test_one_fill_solve_per_color_constraint(self, ctx4, monkeypatch):
-        L, tau, cycle = build_line(ctx4)
-        for g in (translation_t(ctx4, L), rotation_r(ctx4, L, tau, cycle)):
-            calls = 0
+    def test_one_fill_solve_per_color_constraint(self, monkeypatch):
+        # a fresh context, since its constraint memo outlives the portraits
+        _, ctx = validate_inputs(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 2)"])
+        L, tau, cycle = build_line(ctx)
+        gs = translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)
+        calls = 0
 
-            def counting(G, constraints):
-                nonlocal calls
-                calls += 1
-                return find_mapping(G, constraints)
+        def counting(G, constraints):
+            nonlocal calls
+            calls += 1
+            return find_mapping(G, constraints)
 
-            with monkeypatch.context() as m:
-                m.setattr(autom, "find_mapping", counting)
-                certify_membership(g, ctx4.F, ctx4.Fp, 8)
-            assert 0 < calls <= 4 * 4
+        monkeypatch.setattr(permgroups, "find_mapping", counting)
+        for g in gs:
+            certify_membership(g, ctx.F, ctx.Fp, 8)
+        # both portraits share the context's memo: at most one solve per
+        # one-point constraint (k, target) in all
+        assert 0 < calls <= 4 * 4
 
 
 class TestFillSolve:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treelocal import cli
 from treelocal.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
@@ -203,6 +204,69 @@ class TestTree:
         assert "[label=2]" in out
 
 
+# Malformed JSON for the fuzz test of TestMalformedInput, as argument text.
+# Element JSON is read at d = 3 without a group context; segment JSON is
+# read against the dihedral pair at d = 4.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+NOT_OBJECT = JSON.filter(lambda v: not isinstance(v, dict))
+NOT_TEXT = JSON.filter(lambda v: not isinstance(v, str))
+NOT_VERTEX = st.text(alphabet="abcx-", min_size=1, max_size=4)
+OPS = ("word", "diag", "subdiag", "compose", "inverse", "patched", "line")
+
+
+def _element_with(op, key, value):
+    return {"op": op, key: value}
+
+
+BAD_ELEMENT_OBJECTS = st.recursive(
+    st.one_of(
+        NOT_OBJECT,
+        st.dictionaries(st.sampled_from(["w", "perm", "args", "arg"]), JSON,
+                        max_size=2),
+        st.builds(_element_with,
+                  st.text(max_size=6).filter(lambda op: op not in OPS),
+                  st.just("w"), JSON),
+        st.builds(_element_with, st.sampled_from(["word", "diag", "subdiag"]),
+                  st.sampled_from(["w", "perm", "at"]), NOT_TEXT),
+        st.builds(_element_with, st.just("word"), st.just("w"), NOT_VERTEX),
+        st.builds(_element_with, st.just("diag"), st.just("perm"),
+                  st.sampled_from(["(1 4)", "(1 1)", "(1 2", "12"])),
+        st.builds(_element_with, st.just("compose"), st.just("args"),
+                  NOT_TEXT.filter(lambda v: not isinstance(v, list)) | st.just([])),
+        st.just({"op": "line"})),
+    lambda inner: st.one_of(
+        st.builds(_element_with, st.just("inverse"), st.just("arg"), inner),
+        st.builds(_element_with, st.just("compose"), st.just("args"),
+                  st.lists(inner, min_size=1, max_size=2))),
+    max_leaves=3)
+BAD_ELEMENTS = st.one_of(
+    BAD_ELEMENT_OBJECTS.map(json.dumps),
+    st.builds(lambda op: json.dumps({"op": op, "w": "1.2"})[:-1],
+              st.sampled_from(OPS)))
+
+COLORS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+BAD_COLORS = st.one_of(
+    NOT_TEXT.filter(lambda v: not isinstance(v, list)),
+    st.just([]),
+    st.builds(lambda ok, bad, i: ok[:i] + [bad] + ok[i:], COLORS,
+              st.integers(-3, 0) | st.integers(5, 9), st.integers(0, 3)),
+    st.builds(lambda ok, bad: ok + [bad], COLORS,
+              st.none() | st.booleans() | st.text(max_size=2)
+              | st.lists(st.integers(1, 4), max_size=1)))
+BAD_SEGMENTS = st.one_of(
+    NOT_OBJECT,
+    st.fixed_dictionaries({"start": st.just("e")}),
+    st.fixed_dictionaries({"colors": COLORS}),
+    st.fixed_dictionaries({"start": NOT_TEXT, "colors": COLORS}),
+    st.fixed_dictionaries({"start": NOT_VERTEX, "colors": COLORS}),
+    st.fixed_dictionaries({"start": st.just("e"), "colors": BAD_COLORS}),
+).map(json.dumps)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("argv", [
         ("element", "build", "--element", '{"op": "diag"}'),
@@ -224,6 +288,24 @@ class TestMalformedInput:
     def test_exits_1_with_one_line(self, capsys, specd4, argv):
         if argv[0] == "qm":
             argv = argv[:2] + ("--spec", specd4) + argv[2:]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.tuples(st.just("--element"), BAD_ELEMENTS),
+        st.tuples(st.just("--segment"), BAD_SEGMENTS)))
+    @example(data=("--segment", '{"start": "e", "colors": [true, 2]}'))
+    def test_fuzzed_json_exits_1_with_one_line(self, capsys, specd4, data):
+        flag, text = data
+        if flag == "--element":
+            argv = ("element", "build", "--element", text)
+        else:
+            argv = ("qm", "eval", "--spec", specd4, "--segment", text,
+                    "--word", "1.2")
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID
         assert out == ""

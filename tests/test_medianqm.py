@@ -7,7 +7,7 @@ import pytest
 
 from treelocal.errors import SizeLimitExceeded
 from treelocal.autom import Compose, Inverse, WordTranslation, power
-from treelocal.ratmat import rank
+from treelocal import ratmat
 from treelocal.medianqm import (
     MedianQM,
     cyclic_reduction,
@@ -29,6 +29,7 @@ from treelocal.tree import BASE, Segment, Vertex
 
 from conftest import (
     SlotwiseMatcher,
+    fraction_pivot_positions,
     pairwise_census,
     random_composite,
     random_reduced_word,
@@ -258,7 +259,7 @@ def naive_independence_search(match, target_rank, max_seg, search_bound):
                         for row, g in zip(matrix, chosen_reps)]
                 cand.append([naive_homogenize_word(match, rep, wj) for wj in chosen_words]
                             + [naive_homogenize_word(match, rep, w)])
-                if rank(cand) == len(chosen_reps) + 1:
+                if len(fraction_pivot_positions(cand)) == len(chosen_reps) + 1:
                     chosen_reps.append(rep)
                     chosen_words.append(w)
                     matrix = cand
@@ -305,3 +306,21 @@ class TestAgainstSlotwiseOracle:
             assert [q.s.colors for q in cert.qms] == reps
             assert [g.describe() for g in cert.elements] == [
                 word_element(w, 4).describe() for w in words]
+
+    @pytest.mark.parametrize("target, max_seg, search_bound",
+                             [(2, 3, 6), (1, 5, 7), (3, 6, 8), (2, 5, 8)])
+    def test_independence_search_ranks_once(self, ctxd4, monkeypatch,
+                                            target, max_seg, search_bound):
+        # the candidates are tested by their Schur complements; only the
+        # final certificate takes a rank
+        calls = 0
+        pivot_positions = ratmat.pivot_positions
+
+        def counting(rows):
+            nonlocal calls
+            calls += 1
+            return pivot_positions(rows)
+
+        monkeypatch.setattr(ratmat, "pivot_positions", counting)
+        cert = independence_search(ctxd4, target, max_seg, search_bound)
+        assert calls == (0 if cert is None else 1)
