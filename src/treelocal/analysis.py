@@ -16,11 +16,10 @@ claims the cohomological conclusions themselves.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import TreeLocalError
 from .permgroups import (
     PermGroup,
     Permutation,
@@ -31,8 +30,8 @@ from .permgroups import (
     parse_cycles,
     preserves_orbits,
 )
-from .tree import BASE, Segment, Vertex, ball, distance
-from .autom import Compose, Loxodromic, WordTranslation, classify, certify_membership, eta
+from .tree import BASE, Segment, Vertex, distance
+from .autom import Loxodromic, WordTranslation, classify, certify_membership, eta
 from .localaction import (
     GroupContext,
     boundary_escape_witness,
@@ -52,7 +51,6 @@ from .medianqm import (
     homogenize,
     homogenize_limit,
     independence_search,
-    reduced_words,
 )
 
 

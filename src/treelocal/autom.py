@@ -25,7 +25,7 @@ from .errors import (
     SizeLimitExceeded,
     TreeLocalError,
 )
-from .permgroups import PermGroup, Permutation, Solutions
+from .permgroups import PermGroup, Permutation
 from .tree import (
     BASE,
     EdgeRef,
@@ -259,13 +259,10 @@ class FilledPortrait(Automorphism):
     (None off the skeleton), _skeleton_image and _skeleton_sigma.
     """
 
-    def __init__(self, fill: PermGroup, anchor: Vertex,
-                 solutions: Optional[Solutions] = None):
+    def __init__(self, fill: PermGroup, anchor: Vertex):
         super().__init__(fill.degree)
         self.fill = fill
         self.anchor = anchor
-        # solves in the fill group, shared with the context that built us
-        self._solved = (Solutions() if solutions is None else solutions)[fill]
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         raise NotImplementedError
@@ -303,8 +300,9 @@ class FilledPortrait(Automorphism):
 
     def _fill_element(self, k: int, target: int, at: Vertex) -> Permutation:
         """The least fill element sending color k to target, solved once
-        per one-point constraint; OrbitViolation names the vertex at."""
-        sol = self._solved[k, target]
+        per one-point constraint and fill group; OrbitViolation names the
+        vertex at."""
+        sol = self.fill.least((k, target))
         if sol is None:
             raise OrbitViolation(
                 f"no fill element maps color {k} to {target} at {at}")
@@ -325,8 +323,7 @@ class SegmentPortrait(FilledPortrait):
     vertex i maps to images[i] with local permutation sigmas[i]."""
 
     def __init__(self, vertices: Sequence[Vertex], images: Sequence[Vertex],
-                 sigmas: Sequence[Permutation], fill: PermGroup,
-                 solutions: Optional[Solutions] = None):
+                 sigmas: Sequence[Permutation], fill: PermGroup):
         if not (len(vertices) == len(images) == len(sigmas)):
             raise TreeLocalError("skeleton arrays must have equal lengths")
         if not vertices:
@@ -334,7 +331,7 @@ class SegmentPortrait(FilledPortrait):
         for a, b in zip(vertices, vertices[1:]):
             if distance(a, b) != 1:
                 raise TreeLocalError("skeleton vertices must be consecutive")
-        super().__init__(fill, vertices[0], solutions)
+        super().__init__(fill, vertices[0])
         self.skeleton = tuple(vertices)
         self.images = tuple(images)
         self.sigmas = tuple(sigmas)
@@ -386,8 +383,8 @@ class LinePortrait(FilledPortrait):
 
     def __init__(self, line: LineSpec, index_image: Callable[[int], int],
                  sigma_at: Callable[[int], Permutation], fill: PermGroup,
-                 m: int = 1, solutions: Optional[Solutions] = None):
-        super().__init__(fill, line.anchor, solutions)
+                 m: int = 1):
+        super().__init__(fill, line.anchor)
         self.line = line
         self.index_image = index_image
         self.sigma_at = sigma_at

@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from .errors import TreeLocalError
-from .tree import Segment, Vertex, ball
+from .tree import Vertex, ball
 from .autom import (
     Elliptic,
     InversionMove,
@@ -28,7 +28,7 @@ from .autom import (
     classify,
     eta,
 )
-from .localaction import build_line, rotation_r, translation_t
+from .localaction import build_line
 from .medianqm import (
     MedianQM,
     eval_qm,
@@ -50,7 +50,6 @@ from .serialize import (
     decode_group_spec,
     decode_segment,
     dot_ball,
-    encode_segment,
 )
 
 CONFIG_ENV = "TREELOCAL_CONFIG"

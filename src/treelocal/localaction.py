@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     ConstraintUnsolvable,
-    HypothesisUnverified,
     IncompatibleSigma,
     InconsistentPortrait,
     LengthMismatch,
@@ -35,7 +34,6 @@ from .errors import (
 from .permgroups import (
     PermGroup,
     Permutation,
-    Solutions,
     is_2transitive_direct,
     orbits,
     pick_tau,
@@ -44,7 +42,6 @@ from .permgroups import (
 )
 from .autom import (
     Automorphism,
-    Identity,
     Inverse,
     LinePortrait,
     SegmentPortrait,
@@ -57,7 +54,6 @@ from .tree import (
     Segment,
     Vertex,
     distance,
-    geodesic,
     neighbor,
     reduce_word,
     reduced_words,
@@ -79,10 +75,6 @@ class GroupContext:
     # F'-orbital of every ordered pair (x, y), numbered by first pair met
     orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
                                                 compare=False)
-    # least solutions of constraint sets in F and F', shared by the slot
-    # solver and the fills of every portrait built from this context
-    solutions: Solutions = field(default_factory=Solutions, init=False,
-                                 repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 3:
@@ -196,8 +188,7 @@ def extend_from_segment(ctx: GroupContext, source: Segment, target: Segment,
         if p not in ctx.Fp:
             raise IncompatibleSigma(f"{p.cycle_string()} is not in F'")
     try:
-        return SegmentPortrait(source.vertices(), target.vertices(), sigmas,
-                               ctx.F, ctx.solutions)
+        return SegmentPortrait(source.vertices(), target.vertices(), sigmas, ctx.F)
     except InconsistentPortrait as exc:
         raise IncompatibleSigma(str(exc)) from exc
 
@@ -211,7 +202,7 @@ def _slot(ctx: GroupContext, cons: Sequence[tuple[int, int]],
         if cand in ctx.Fp and all(cand(x) == y for x, y in cons):
             return cand
     key = tuple(itertools.chain.from_iterable(cons))
-    sol = ctx.solutions[ctx.F][key] or ctx.solutions[ctx.Fp][key]
+    sol = ctx.F.least(key) or ctx.Fp.least(key)
     if sol is None:
         raise ConstraintUnsolvable(f"no F' element satisfies {cons}")
     return sol
@@ -293,8 +284,7 @@ def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
         return _slot(ctx, [(L.edge_color(i), L.edge_color(i + 2)),
                            (L.edge_color(i + 1), L.edge_color(i + 3))])
 
-    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F,
-                        solutions=ctx.solutions)
+    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F)
 
 
 def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
@@ -311,8 +301,7 @@ def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
                      [tau.power(i), tau.power(-i)])
 
     order = math.lcm(*map(len, tau.cycles()))
-    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order,
-                        solutions=ctx.solutions)
+    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order)
 
 
 def edge_transitivity_check(ctx: GroupContext, L: LineSpec,

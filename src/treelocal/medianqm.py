@@ -153,40 +153,35 @@ def axis_column(ctx: GroupContext, w: Sequence[int], n: int) -> Counter:
 
 
 class _AxisColumns:
-    """Axis columns of candidate words, held for one segment length at a
-    time.  Words whose cyclic reductions have the same cyclic orbital word
-    share a column, computed once."""
+    """The candidate words of a search, one per axis, with their axis
+    columns computed once per (candidate, segment length).
+
+    The axis of a cyclically reduced word w is its cyclic orbital word
+    ctx.orbital_word(w + w[:1]).  Lemma: every value a search reads from w
+    depends only on its axis.  Its axis columns, hence the row u, column c
+    and corner h of a Schur test, and the tail counts eval_colors(ctx,
+    w * n, rep) count windows over the labels orbital[x, y] of consecutive
+    pairs, over the reversed labels orbital[y, x] and, for one-color
+    segments, over the diagonal labels orbital[x, x]; the last two are
+    functions of the first.  A later word with the same axis therefore
+    repeats the verdict of the first, so keeping the first word of each
+    axis, in word order, leaves the first hit of a search, and with it
+    every witness, unchanged."""
 
     def __init__(self, ctx: GroupContext, words: Sequence[tuple[int, ...]]):
         self.ctx = ctx
-        self.words = words
-        self.n = 0
-        self.columns: dict[tuple[int, ...], Counter] = {}
-        self.values: dict[tuple, int] = {}
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.axes = []
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
         for w in words:
-            t = cyclic_reduction(w)
-            axis = ctx.orbital_word(t + t[:1]) if len(t) > 1 else ()
-            self.axes.append(shared.setdefault(axis, axis))
+            first.setdefault(ctx.orbital_word(w + w[:1]), w)
+        self.words = list(first.values())
+        self.columns: dict[tuple[int, int], Counter] = {}
 
     def __call__(self, i: int, n: int) -> Counter:
         """The axis column of words[i] for segment length n."""
-        if n != self.n:
-            self.n, self.columns = n, {}
-        col = self.columns.get(self.axes[i])
+        col = self.columns.get((i, n))
         if col is None:
-            col = self.columns[self.axes[i]] = axis_column(self.ctx, self.words[i], n)
+            col = self.columns[i, n] = axis_column(self.ctx, self.words[i], n)
         return col
-
-    def value(self, i: int, n: int, key: tuple[int, ...]) -> int:
-        """The entry for key of the axis column of words[i] for length n,
-        kept for every length: the rows already chosen are read at their
-        own segment lengths."""
-        memo = (self.axes[i], n, key)
-        if memo not in self.values:
-            self.values[memo] = axis_column(self.ctx, self.words[i], n)[key]
-        return self.values[memo]
 
 
 def homogenize_word(f: MedianQM, w: Sequence[int]) -> int:
@@ -270,12 +265,11 @@ def find_nonvanishing_qm(
     carry a constant boundary correction, and the exact-agreement ones
     make the limit visible at finite n.
     """
-    words = _search_words(ctx.d, search_bound)
-    column = _AxisColumns(ctx, words)
+    column = _AxisColumns(ctx, _search_words(ctx.d, search_bound))
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
             key = ctx.orbital_word(rep)
-            for i, w in enumerate(words):
+            for i, w in enumerate(column.words):
                 h = column(i, seg_len)[key]
                 if h != 0 and all(eval_colors(ctx, w * n, rep) == n * h
                                   for n in (6, 7, 8)):
@@ -318,10 +312,8 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
     candidate [[A, c], [u, h]] has rank k + 1 iff its determinant is
     nonzero; ratmat.border tests that from det A and adj A, kept as ints
     and updated on each acceptance.  The row u, column c and corner h of a
-    word depend only on its axis, so an axis rejected once is rejected for
-    the rest of the representative."""
-    words = _search_words(ctx.d, search_bound)
-    column = _AxisColumns(ctx, words)
+    word depend only on its axis, so one word per axis is scanned."""
+    column = _AxisColumns(ctx, _search_words(ctx.d, search_bound))
     chosen_qms: list[MedianQM] = []
     chosen_keys: list[tuple[int, tuple[int, ...]]] = []
     chosen_words: list[int] = []
@@ -330,13 +322,10 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
         for rep in segment_orbit_census(ctx, seg_len):
             key = ctx.orbital_word(rep)
             u = [column(j, seg_len)[key] for j in chosen_words]
-            rejected = set()
-            for i in range(len(words)):
-                if column.axes[i] in rejected:
-                    continue
+            for i in range(len(column.words)):
                 h = column(i, seg_len)[key]
                 if h:
-                    c = [column.value(i, n, k) for n, k in chosen_keys]
+                    c = [column(i, n)[k] for n, k in chosen_keys]
                     new_det, new_adj = border(det, adj, u, c, h)
                     if new_adj is not None:
                         chosen_qms.append(MedianQM(Segment(BASE, rep), BASE, ctx))
@@ -344,9 +333,9 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
                         chosen_words.append(i)
                         det, adj = new_det, new_adj
                         break
-                rejected.add(column.axes[i])
             if len(chosen_qms) >= target_rank:
-                els = [WordTranslation(Vertex(words[j]), ctx.d) for j in chosen_words]
+                els = [WordTranslation(Vertex(column.words[j]), ctx.d)
+                       for j in chosen_words]
                 cert = independence_certificate(ctx, chosen_qms, els)
                 if cert.rank >= target_rank:
                     return cert

@@ -149,15 +149,19 @@ class PermGroup:
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
     _element_set: frozenset = field(repr=False, compare=False, default=frozenset())
-    _hash: int = field(repr=False, compare=False, default=0, init=False)
+    _least: dict = field(repr=False, compare=False, default_factory=dict,
+                         init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_element_set", frozenset(self.elements))
-        object.__setattr__(self, "_hash", hash((self.degree, self.elements)))
 
-    def __hash__(self) -> int:
-        # cached: groups key the Solutions memo on hot paths
-        return self._hash
+    def least(self, key: tuple[int, ...]) -> Optional[Permutation]:
+        """find_mapping(self, [(a1, b1), (a2, b2), ...]) for the constraints
+        flattened to key = (a1, b1, a2, b2, ...), solved on its first lookup
+        only: the least solution depends on the group alone."""
+        if key not in self._least:
+            self._least[key] = find_mapping(self, list(zip(key[::2], key[1::2])))
+        return self._least[key]
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._element_set
@@ -318,30 +322,6 @@ def find_mapping(G: PermGroup,
         if all(g(a) == b for a, b in wanted.items()):
             return g
     return None
-
-
-class Solutions(dict):
-    """find_mapping answers keyed by group, then by the constraints
-    a1 -> b1, a2 -> b2, ... flattened to (a1, b1, a2, b2, ...):
-    solutions[G][a1, b1, ...] is find_mapping(G, [(a1, b1), ...]), solved
-    on its first lookup only.  A holder of one group keeps solutions[G]
-    and skips the group lookup; a flat key hashes faster than pairs."""
-
-    def __missing__(self, G: PermGroup) -> dict:
-        table = self[G] = _Solved(G)
-        return table
-
-
-class _Solved(dict):
-    """The find_mapping answers of one group, keyed by flat constraints."""
-
-    def __init__(self, G: PermGroup):
-        super().__init__()
-        self.group = G
-
-    def __missing__(self, key: tuple[int, ...]):
-        sol = self[key] = find_mapping(self.group, list(zip(key[::2], key[1::2])))
-        return sol
 
 
 def pick_tau(F: PermGroup) -> tuple[Permutation, tuple[int, ...]]:

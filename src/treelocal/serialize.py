@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import TreeLocalError
-from .permgroups import Permutation, generate, parse_cycles, pick_tau
+from .permgroups import generate, parse_cycles, pick_tau
 from .tree import EventuallyPeriodic, LineSpec, Segment, Vertex
 from .autom import (
     Automorphism,
@@ -39,12 +39,23 @@ def _field(obj, key: str, what: str, kind: type = object):
     return value
 
 
-def _colors(obj, key: str, what: str) -> tuple[int, ...]:
+def _integer(obj, key: str, what: str) -> int:
+    value = _field(obj, key, what)
+    # bool is a subclass of int, but JSON true is not an integer
+    if type(value) is not int:
+        raise TreeLocalError(f"{what} key {key!r} must be an integer")
+    return value
+
+
+def _list_of(obj, key: str, what: str, kind: type) -> list:
     value = _field(obj, key, what, list)
-    # bool is a subclass of int, but JSON true is not a color
-    if not all(type(k) is int for k in value):
-        raise TreeLocalError(f"{what} key {key!r} must be a list of ints")
-    return tuple(value)
+    if not all(type(k) is kind for k in value):
+        raise TreeLocalError(f"{what} key {key!r} must be a list of {kind.__name__}s")
+    return value
+
+
+def _colors(obj, key: str, what: str) -> tuple[int, ...]:
+    return tuple(_list_of(obj, key, what, int))
 
 
 # --- tree types ---
@@ -90,9 +101,9 @@ def decode_line(obj: dict) -> LineSpec:
 
 def decode_group_spec(obj: dict) -> tuple[int, list[str], list[str]]:
     """A group-spec file: {"d": n, "F": [cycles], "Fprime": [cycles]}."""
-    d, f_gens, fp_gens = (_field(obj, key, "group spec")
-                          for key in ("d", "F", "Fprime"))
-    return int(d), list(f_gens), list(fp_gens)
+    return (_integer(obj, "d", "group spec"),
+            _list_of(obj, "F", "group spec", str),
+            _list_of(obj, "Fprime", "group spec", str))
 
 
 def context_from_spec(obj: dict) -> GroupContext:
@@ -167,7 +178,7 @@ def encode_chain(c: AlternatingChain) -> dict:
 def decode_chain(obj: dict) -> AlternatingChain:
     raw = [(tuple(Vertex.parse(v) for v in key), Fraction(coeff))
            for key, coeff in _field(obj, "terms", "chain", list)]
-    return AlternatingChain.build(int(_field(obj, "degree", "chain")), raw)
+    return AlternatingChain.build(_integer(obj, "degree", "chain"), raw)
 
 
 # --- DOT export ---
@@ -176,7 +187,7 @@ def decode_chain(obj: dict) -> AlternatingChain:
 def dot_ball(d: int, radius: int, center: Vertex = Vertex()) -> str:
     """Graphviz DOT text of the ball around a vertex, edges labeled with
     their colors."""
-    from .tree import ball, distance, neighbor
+    from .tree import ball, neighbor
 
     nodes = list(ball(center, radius, d))
     node_set = set(nodes)

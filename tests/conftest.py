@@ -51,6 +51,14 @@ def ctxd4() -> GroupContext:
     return ctx
 
 
+@pytest.fixture(scope="session")
+def ctxi4() -> GroupContext:
+    """(d=4, F = <(1 2)(3 4)>, F' = <(1 2), (3 4)>); F' intransitive."""
+    _, ctx = validate_inputs(4, ["(1 2)(3 4)"], ["(1 2)", "(3 4)"])
+    assert ctx is not None
+    return ctx
+
+
 def valid_contexts(d: int) -> list[GroupContext]:
     """All contexts (F, F') over degree d: proper subgroup pairs with F'
     preserving the F-orbits."""

@@ -1,6 +1,9 @@
 """Tree automorphisms: portraits, composition, classification, membership."""
 
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +16,7 @@ from treelocal.errors import (
     TreeLocalError,
 )
 from treelocal.permgroups import (
+    PermGroup,
     Permutation,
     find_mapping,
     generate,
@@ -460,7 +464,8 @@ class TestPortraitCost:
         assert calls <= ball_size(8, 4) == 13121
 
     def test_one_fill_solve_per_color_constraint(self, monkeypatch):
-        # a fresh context, since its constraint memo outlives the portraits
+        # a fresh context, since the solve memos of its groups outlive the
+        # portraits
         _, ctx = validate_inputs(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 2)"])
         L, tau, cycle = build_line(ctx)
         gs = translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)
@@ -474,14 +479,26 @@ class TestPortraitCost:
         monkeypatch.setattr(permgroups, "find_mapping", counting)
         for g in gs:
             certify_membership(g, ctx.F, ctx.Fp, 8)
-        # both portraits share the context's memo: at most one solve per
-        # one-point constraint (k, target) in all
+        # both portraits fill from F and share its memo: at most one solve
+        # per one-point constraint (k, target) in all
         assert 0 < calls <= 4 * 4
 
 
 class TestFillSolve:
     @pytest.mark.parametrize("d", [3, 4])
-    def test_memoized_solve_equals_find_mapping(self, d):
+    def test_memoized_solve_equals_find_mapping(self, d, monkeypatch):
+        calls = 0
+
+        def counting(G, constraints):
+            nonlocal calls
+            calls += 1
+            return find_mapping(G, constraints)
+
+        monkeypatch.setattr(permgroups, "find_mapping", counting)
+        points = range(1, d + 1)
+        # two-point keys (a1, b1, a2, b2) with distinct sources, as slots ask
+        keys = [(a1, b1, a2, b2) for a1, b1, a2, b2
+                in itertools.product(points, repeat=4) if a1 != a2]
         for ctx in valid_contexts(d):
             for fill in (ctx.F, ctx.Fp):
                 g = SegmentPortrait([BASE], [BASE], [Permutation.identity(d)],
@@ -495,6 +512,33 @@ class TestFillSolve:
                                     g._fill_element(k, target, BASE)
                             else:
                                 assert g._fill_element(k, target, BASE) == want
+                # a copy of the group starts with a cold memo of its own
+                G = PermGroup(fill.degree, fill.generators, fill.elements)
+                for rnd in range(2):
+                    calls = 0
+                    for key in keys:
+                        want = find_mapping(fill, list(zip(key[::2], key[1::2])))
+                        assert G.least(key) == want
+                    assert calls == (len(keys) if rnd == 0 else 0)
+
+    def test_groups_freed_without_the_cycle_collector(self):
+        # the memo lives on the group without referring back to it, so a
+        # context's groups die by reference counting alone
+        gc.disable()
+        try:
+            _, ctx = validate_inputs(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 2)"])
+            L, tau, cycle = build_line(ctx)
+            gs = [translation_t(ctx, L), rotation_r(ctx, L, tau, cycle),
+                  segment_transport(ctx, Segment(BASE, (1, 2)),
+                                    Segment(BASE, (2, 3)))]
+            for g in gs:
+                certify_membership(g, ctx.F, ctx.Fp, 3)
+            assert ctx.F.least((1, 1)) is not None
+            refs = weakref.ref(ctx.F), weakref.ref(ctx.Fp)
+            del ctx, L, gs, g
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_unsolvable_constraint_raises(self):
         # the fill group <(1 2)> cannot send color 3 anywhere else, so the

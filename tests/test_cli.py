@@ -62,6 +62,18 @@ class TestGroupValidate:
         assert code == EXIT_INVALID
         assert json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", 3.9), ("d", True), ("F", "(1 2 3)"), ("Fprime", [3])])
+    def test_spec_off_schema_exits_1_with_one_line(self, capsys, tmp_path,
+                                                   key, value):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**SPEC3, key: value}))
+        code, out, err = run(capsys, "group", "validate", str(p))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "group", "validate", "/no/such/file.json")
         assert code == EXIT_INVALID

@@ -7,7 +7,7 @@ import pytest
 
 from treelocal.errors import SizeLimitExceeded
 from treelocal.autom import Compose, Inverse, WordTranslation, power
-from treelocal import ratmat
+from treelocal import medianqm, ratmat
 from treelocal.medianqm import (
     MedianQM,
     cyclic_reduction,
@@ -282,10 +282,15 @@ class TestAgainstSlotwiseOracle:
                 f = MedianQM(Segment(BASE, pattern), BASE, ctx)
                 assert homogenize_word(f, word) == naive_homogenize_word(match, pattern, word)
 
-    @pytest.mark.parametrize("max_seg, search_bound", [(3, 6), (5, 7)])
-    def test_find_nonvanishing_qm(self, ctxd4, max_seg, search_bound):
-        expected = naive_find_nonvanishing(SlotwiseMatcher(ctxd4), max_seg, search_bound)
-        found = find_nonvanishing_qm(ctxd4, max_seg, search_bound)
+    @pytest.mark.parametrize("pair, max_seg, search_bound", [
+        pytest.param("ctxd4", 3, 6, id="3-6"),
+        pytest.param("ctxd4", 5, 7, id="5-7"),
+        pytest.param("ctxi4", 5, 7, id="intransitive-5-7")])
+    def test_find_nonvanishing_qm(self, request, pair, max_seg, search_bound):
+        ctx = request.getfixturevalue(pair)
+        expected = naive_find_nonvanishing(SlotwiseMatcher(ctx), max_seg, search_bound)
+        assert pair == "ctxd4" or expected is not None
+        found = find_nonvanishing_qm(ctx, max_seg, search_bound)
         if expected is None:
             assert found is None
         else:
@@ -294,11 +299,16 @@ class TestAgainstSlotwiseOracle:
             assert (f.s.colors, g.describe(), value) == (
                 rep, word_element(w, 4).describe(), h)
 
-    @pytest.mark.parametrize("target, max_seg, search_bound", [(2, 3, 6), (1, 5, 7)])
-    def test_independence_search(self, ctxd4, target, max_seg, search_bound):
-        expected = naive_independence_search(SlotwiseMatcher(ctxd4), target, max_seg,
+    @pytest.mark.parametrize("pair, target, max_seg, search_bound", [
+        pytest.param("ctxd4", 2, 3, 6, id="2-3-6"),
+        pytest.param("ctxd4", 1, 5, 7, id="1-5-7"),
+        pytest.param("ctxi4", 1, 5, 7, id="intransitive-1-5-7")])
+    def test_independence_search(self, request, pair, target, max_seg, search_bound):
+        ctx = request.getfixturevalue(pair)
+        expected = naive_independence_search(SlotwiseMatcher(ctx), target, max_seg,
                                              search_bound)
-        cert = independence_search(ctxd4, target, max_seg, search_bound)
+        assert pair == "ctxd4" or expected is not None
+        cert = independence_search(ctx, target, max_seg, search_bound)
         if expected is None:
             assert cert is None
         else:
@@ -324,3 +334,32 @@ class TestAgainstSlotwiseOracle:
         monkeypatch.setattr(ratmat, "pivot_positions", counting)
         cert = independence_search(ctxd4, target, max_seg, search_bound)
         assert calls == (0 if cert is None else 1)
+
+
+class TestOneWordPerAxis:
+    @pytest.mark.parametrize("search, args", [
+        pytest.param(find_nonvanishing_qm, (5, 7), id="nonvanishing-5-7"),
+        pytest.param(independence_search, (2, 3, 6), id="independence-2-3-6"),
+        pytest.param(independence_search, (3, 6, 8), id="independence-3-6-8"),
+        pytest.param(independence_search, (2, 5, 8), id="independence-2-5-8"),
+    ])
+    def test_each_column_computed_once(self, ctxd4, monkeypatch, search, args):
+        # every (word, length) column is computed once per search, and
+        # only for the first word of its axis
+        computed = []
+        axis_column = medianqm.axis_column
+
+        def recording(ctx, w, n):
+            computed.append((tuple(w), n))
+            return axis_column(ctx, w, n)
+
+        monkeypatch.setattr(medianqm, "axis_column", recording)
+        search(ctxd4, *args)
+        assert computed and len(set(computed)) == len(computed)
+        words = {w for w, _ in computed}
+        axes = {ctxd4.orbital_word(w + w[:1]) for w in words}
+        assert len(axes) == len(words)
+        first = {}
+        for w in _search_words(4, args[-1]):
+            first.setdefault(ctxd4.orbital_word(w + w[:1]), w)
+        assert words <= set(first.values())

@@ -71,6 +71,20 @@ class TestGroupSpec:
         ctx = context_from_spec(SPECD4)
         assert ctx.d == 4 and ctx.F.order == 4 and ctx.Fp.order == 8
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", 3.9), ("d", 3.0), ("d", True), ("d", "3"), ("d", None),
+        ("F", "(1 2 3)"), ("F", [1, 2]), ("F", [["(1 2 3)"]]),
+        ("Fprime", "(1 2 3)(1 2)"), ("Fprime", {"gens": []}),
+    ])
+    def test_decoded_as_the_schema_types(self, key, value):
+        with pytest.raises(TreeLocalError, match=repr(key)):
+            decode_group_spec({**SPEC3, key: value})
+
+    @pytest.mark.parametrize("degree", [1.7, 1.0, True, "1", None])
+    def test_chain_degree_is_an_integer(self, degree):
+        with pytest.raises(TreeLocalError, match="'degree'"):
+            decode_chain({"degree": degree, "terms": []})
+
 
 class TestDecodeElement:
     def test_word(self):
