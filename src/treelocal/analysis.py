@@ -352,8 +352,7 @@ def theorem1_branch(ctx: GroupContext, cfg: Optional[RunConfig] = None) -> Branc
     bundle for it.  Exhausted searches surface as failed evidence flags,
     never silently."""
     cfg = cfg or RunConfig()
-    two_trans = is_2transitive_direct(ctx.Fp)
-    if two_trans:
+    if ctx.two_transitive:
         branch = "BoundedlyAcyclic"
         evidence = _branch1_evidence(ctx, cfg)
     else:

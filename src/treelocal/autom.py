@@ -16,7 +16,7 @@ InconsistentPortrait rather than producing a wrong vertex map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     InconsistentPortrait,
@@ -73,6 +73,11 @@ class Automorphism:
 
     def __call__(self, v: Vertex) -> Vertex:
         return self.apply(v)
+
+    def ball_locals(self, R: int) -> Iterator[tuple[Vertex, Permutation]]:
+        """(v, local(v)) for every v in ball(BASE, R), in ball order."""
+        for v in ball(BASE, R, self.d):
+            yield v, self.local(v)
 
     def _apply(self, v: Vertex) -> Vertex:
         raise NotImplementedError
@@ -297,6 +302,43 @@ class FilledPortrait(Automorphism):
             sol = self._fill_element(k, self.local(u)(k), w)
             self._local_memo[w] = sol
         return sol
+
+    def ball_locals(self, R: int) -> Iterator[tuple[Vertex, Permutation]]:
+        """(v, local(v)) for every v in ball(BASE, R), in ball order,
+        filled level by level from the previous level's permutations, with
+        no walk toward the anchor and no memo written.
+
+        ball lists the children of each vertex together, d of them at BASE
+        and d - 1 elsewhere, so the parent of the j-th vertex of level
+        n >= 2 is entry j // (d - 1) of level n - 1.  The reports cannot
+        change: by the projection lemma the first step from v toward the
+        skeleton is the first step toward the anchor, and for v off the
+        geodesic [BASE, anchor] that is the edge back toward BASE, of
+        color v[-1].  So off the skeleton and off [BASE, anchor], v gets
+        the fill element _local gives it, solved from its parent's
+        permutation; the at most d(BASE, anchor) vertices of [BASE, anchor]
+        off the skeleton go through local.
+        """
+        anchor, depth = self.anchor, len(self.anchor)
+        per_parent = self.d - 1
+        # the permutations of levels n - 1 and n, in ball order
+        prev: list[Permutation] = []
+        level: list[Permutation] = []
+        n = 0
+        for v in ball(BASE, R, self.d):
+            if len(v) != n:
+                prev, level, n = level, [], len(v)
+            i = self._skeleton_index(v)
+            if i is not None:
+                s = self._skeleton_sigma(i)
+            elif n <= depth and v == anchor[:n]:
+                s = self.local(v)
+            else:
+                k = v[-1]
+                s = self._fill_element(
+                    k, prev[len(level) // per_parent if n > 1 else 0](k), v)
+            level.append(s)
+            yield v, s
 
     def _fill_element(self, k: int, target: int, at: Vertex) -> Permutation:
         """The least fill element sending color k to target, solved once
@@ -616,15 +658,14 @@ class MembershipCertificate:
 
 def singular_support(g: Automorphism, F: PermGroup, R: int) -> list[Vertex]:
     """Vertices in ball(base, R) where the local permutation leaves F."""
-    return [v for v in ball(BASE, R, g.d) if g.local(v) not in F]
+    return [v for v, s in g.ball_locals(R) if s not in F]
 
 
 def certify_membership(g: Automorphism, F: PermGroup, Fp: PermGroup,
                        R: int) -> MembershipCertificate:
     singular = []
     in_up = True
-    for v in ball(BASE, R, g.d):
-        s = g.local(v)
+    for v, s in g.ball_locals(R):
         if s not in F:
             singular.append(v)
         if s not in Fp:

@@ -14,6 +14,7 @@ integer matrices by fraction-free elimination (ratmat).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import HypothesisUnverified, SizeLimitExceeded, TreeLocalError
 from .localaction import (
+    ENUMERATION_CAP,
     GroupContext,
     build_line,
     edge_transitivity_check,
@@ -29,7 +31,6 @@ from .localaction import (
     transport_into_line,
 )
 from .autom import Compose, power
-from .permgroups import is_2transitive_direct
 from .ratmat import rank
 from .tree import (
     BASE,
@@ -162,6 +163,16 @@ def aligned_tuples(points: Sequence[Vertex], size: int) -> list[tuple[Vertex, ..
     return [tuple(points[k] for k in tup) for tup in found]
 
 
+def aligned_count_bound(N: int, R: int, n: int) -> int:
+    """An upper bound on the aligned (n+1)-tuples among N points of a ball
+    of radius R: N for n = 0, and otherwise comb(N, 2) extreme pairs times
+    the choices of n - 1 among the at most 2R - 1 vertices strictly inside
+    the pair's geodesic."""
+    if n < 1:
+        return N if n == 0 else 0
+    return math.comb(N, 2) * math.comb(max(2 * R - 1, 0), n - 1)
+
+
 def aligned_basis(w: ComplexWindow, n: int) -> list[tuple[Vertex, ...]]:
     if len(w.points) > MAX_WINDOW_POINTS:
         raise SizeLimitExceeded(
@@ -207,18 +218,30 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
       the translation t along L (their anchor indices have matching
       parity), verified on the tuple images.
 
+    The second transport is Compose(t, g) for the first transport g, so
+    its anchor index is always two past the first's, h is t itself, and
+    ``consistent`` equals ``transported`` by construction.
+
     Requires the hypotheses: F' 2-transitive and the stabilizer of L
-    edge-transitive on a window (checked here via t and r).
+    edge-transitive on a window (checked here via t and r).  A window
+    whose aligned tuples could exceed ENUMERATION_CAP (by
+    aligned_count_bound) raises SizeLimitExceeded before any is built.
     """
-    if not is_2transitive_direct(ctx.Fp):
+    if not ctx.two_transitive:
         raise HypothesisUnverified("F' must be 2-transitive")
+    points = list(ball(BASE, window_radius, ctx.d))
+    bound = aligned_count_bound(len(points), window_radius, n)
+    if bound > ENUMERATION_CAP:
+        raise SizeLimitExceeded(
+            f"up to {bound} aligned tuples of {n + 1} points in a ball of "
+            f"radius {window_radius} exceed ENUMERATION_CAP {ENUMERATION_CAP}")
     _, tau, cycle = build_line(ctx)
     t = translation_t(ctx, L)
     r = rotation_r(ctx, L, tau, cycle)
     if not edge_transitivity_check(ctx, L, [t, r], max(4, window_radius)):
         raise HypothesisUnverified("line stabilizer not edge-transitive on window")
 
-    tuples = aligned_tuples(list(ball(BASE, window_radius, ctx.d)), n + 1)
+    tuples = aligned_tuples(points, n + 1)
     rng = random.Random(seed)
     if len(tuples) > sample_cap:
         tuples = rng.sample(tuples, sample_cap)

@@ -34,7 +34,6 @@ from .errors import (
 from .permgroups import (
     PermGroup,
     Permutation,
-    is_2transitive_direct,
     orbits,
     pick_tau,
     preserves_orbits,
@@ -75,6 +74,8 @@ class GroupContext:
     # F'-orbital of every ordered pair (x, y), numbered by first pair met
     orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
                                                 compare=False)
+    # F' is 2-transitive iff the pairs x != y all lie in one orbital
+    two_transitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 3:
@@ -94,6 +95,8 @@ class GroupContext:
                 k = next(ident)
                 for rho in self.Fp.elements:
                     self.orbital[rho(x), rho(y)] = k
+        self.two_transitive = len({k for (x, y), k in self.orbital.items()
+                                   if x != y}) == 1
 
     def orbital_word(self, a: Sequence[int]) -> tuple[int, ...]:
         """The orbitals of the consecutive pairs (a_{i-1}, a_i), i >= 1;
@@ -239,7 +242,7 @@ def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
     """
     if parity not in ("even", "any"):
         raise TreeLocalError(f"parity must be 'even' or 'any', not {parity!r}")
-    if not is_2transitive_direct(ctx.Fp):
+    if not ctx.two_transitive:
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")
     j = 1 if parity == "even" and distance(s.start, L.vertex(0)) % 2 else 0
     target = Segment(L.vertex(j),
@@ -400,7 +403,7 @@ def e2_obstruction(ctx: GroupContext) -> Optional[ObstructionWitness]:
     length-1 segments in different color orbits; if transitive, a pair of
     length-2 segments ending with a common color a whose first colors lie
     in different orbits of the stabilizer of a."""
-    if is_2transitive_direct(ctx.Fp):
+    if ctx.two_transitive:
         return None
     blocks = orbits(ctx.Fp)
     if len(blocks) > 1:

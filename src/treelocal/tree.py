@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import TreeLocalError
+from .errors import SizeLimitExceeded, TreeLocalError
+
+#: The most vertices that ball walks; ball(e, 8) at d = 4 has 13,121.
+BALL_CAP = 1_000_000
 
 
 class Vertex(tuple):
@@ -182,11 +185,18 @@ def midpoint(u: Vertex, v: Vertex) -> PointOrMid:
 
 
 def ball(v: Vertex, R: int, d: int) -> Iterator[Vertex]:
-    """All vertices at distance <= R from v, in BFS order."""
+    """All vertices at distance <= R from v, in BFS order.  A ball of
+    more than BALL_CAP vertices raises SizeLimitExceeded before any is
+    yielded."""
     if R < 0:
         raise TreeLocalError("negative radius")
     if d < 3:
         raise TreeLocalError(f"degree {d} < 3")
+    # ball_size(R, d) >= 2^R, so a large R is refused without computing it
+    if R >= BALL_CAP.bit_length() or ball_size(R, d) > BALL_CAP:
+        raise SizeLimitExceeded(
+            f"ball of radius {R} at degree {d} has more than BALL_CAP "
+            f"{BALL_CAP} vertices")
     yield v
     # back[i] is the color of the edge from frontier[i] toward v (0 at v);
     # every other edge leads one step farther out

@@ -28,6 +28,7 @@ from treelocal.autom import (
     Compose,
     Diagonal,
     Elliptic,
+    FilledPortrait,
     Identity,
     InversionMove,
     Inverse,
@@ -447,7 +448,62 @@ class TestDeepFill:
         assert cold.local(v) == warm.local(v)
 
 
+class TestBallLocals:
+    """One pass over the ball gives what local gives each vertex cold."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_line_portraits(self, d):
+        for ctx in valid_contexts(d):
+            L, tau, cycle = build_line(ctx)
+            for make in (lambda: translation_t(ctx, L),
+                         lambda: rotation_r(ctx, L, tau, cycle)):
+                g, fresh = make(), make()
+                assert list(g.ball_locals(6)) == [
+                    (v, fresh.local(v)) for v in ball(BASE, 6, d)]
+
+    def test_skeleton_far_from_base(self, ctx4):
+        # the skeleton starts at its anchor 1.2.3.4.1, so e, 1, 1.2, 1.2.3
+        # and 1.2.3.4 lie on [BASE, anchor] off the skeleton
+        def make():
+            return segment_transport(ctx4, Segment(Vertex((1, 2, 3, 4, 1)), (2, 3)),
+                                     Segment(Vertex((3,)), (1, 2)))
+        g, fresh = make(), make()
+        assert all(len(v) >= 5 for v in g.skeleton)
+        assert list(g.ball_locals(6)) == [
+            (v, fresh.local(v)) for v in ball(BASE, 6, 4)]
+
+    def test_default_for_other_expressions(self, ctx4):
+        L, _, _ = build_line(ctx4)
+        t = translation_t(ctx4, L)
+        g = Compose(t, WordTranslation(Vertex((1, 2)), 4))
+        assert list(g.ball_locals(3)) == [(v, g.local(v)) for v in ball(BASE, 3, 4)]
+
+    def test_unsolvable_fill_raises_through_certify(self):
+        # the fill group <(1 2)> cannot send color 3 to 1 at the vertex 3
+        fill = generate([parse_cycles("(1 2)", 3)], 3)
+        g = SegmentPortrait([BASE, Vertex((1,))], [BASE, Vertex((3,))],
+                            [Permutation((3, 2, 1))] * 2, fill)
+        with pytest.raises(OrbitViolation, match="at 3$"):
+            certify_membership(g, fill, symmetric_group(3), 2)
+
+
 class TestPortraitCost:
+    def test_certify_walks_no_steps_and_fills_no_memo(self, ctx4, monkeypatch):
+        calls = 0
+        steps = FilledPortrait._steps
+
+        def counting(self, v, memo):
+            nonlocal calls
+            calls += 1
+            return steps(self, v, memo)
+
+        monkeypatch.setattr(FilledPortrait, "_steps", counting)
+        L, _, _ = build_line(ctx4)
+        t = translation_t(ctx4, L)
+        certify_membership(t, ctx4.F, ctx4.Fp, 8)
+        assert calls == 0
+        assert len(t._local_memo) <= 2 * 8 + 1
+
     def test_one_index_lookup_per_ball_vertex(self, ctx4, monkeypatch):
         calls = 0
         index_of = LineSpec.index_of

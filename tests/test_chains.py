@@ -12,6 +12,7 @@ from treelocal.chains import (
     ComplexWindow,
     aligned_basis,
     aligned_closure_check,
+    aligned_count_bound,
     aligned_tuples,
     boundary,
     exactness_check,
@@ -128,6 +129,21 @@ class TestRestriction:
         assert report["transported"] == report["tuples_checked"]
         assert report["consistent"] == report["tuples_checked"]
         assert report["failures"] == []
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_count_bound_holds(self, d):
+        for R in range(4):
+            points = list(ball(BASE, R, d))
+            for n in range(4):
+                count = len(aligned_tuples(points, n + 1))
+                assert count <= aligned_count_bound(len(points), R, n)
+
+    def test_window_over_cap_refused(self, ctx4):
+        L, _, _ = build_line(ctx4)
+        # the survey's radius-3 windows stay far below the cap
+        assert aligned_count_bound(len(list(ball(BASE, 3, 4))), 3, 2) == 6890
+        with pytest.raises(SizeLimitExceeded, match="ENUMERATION_CAP"):
+            restriction_correspondence_check(ctx4, L, 5, 2)
 
     def test_requires_2transitive(self, ctxd4):
         L, _, _ = build_line(ctxd4)

@@ -202,12 +202,29 @@ class TestChains:
         assert data["failures"] == []
         assert data["consistent"] == data["tuples_checked"]
 
+    def test_restriction_over_cap_exits_1(self, capsys, spec4):
+        code, out, err = run(capsys, "chains", "restriction", "--spec", spec4,
+                             "--radius", "6")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ENUMERATION_CAP" in err
+
 
 class TestTree:
     def test_ball_count(self, capsys):
         code, out, _ = run(capsys, "tree", "ball", "--d", "4", "--radius", "2")
         assert code == EXIT_OK
         assert json.loads(out)["count"] == ball_size(2, 4)
+
+    def test_ball_over_cap_exits_1(self, capsys, spec4):
+        for argv in (["tree", "ball", "--d", "4"],
+                     ["element", "certify", "--spec", spec4, "--word", "1.2"]):
+            code, out, err = run(capsys, *argv, "--radius", "40")
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "BALL_CAP" in err
 
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "tree", "dot", "--d", "3", "--radius", "1")

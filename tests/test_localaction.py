@@ -146,6 +146,11 @@ class TestOrbitalWords:
                                 for x in range(1, d + 1) for y in range(1, d + 1) if x != y}
                 assert (len(off_diagonal) == 1) == is_2transitive_direct(ctx.Fp)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_two_transitive_field(self, d):
+        for ctx in valid_contexts(d):
+            assert ctx.two_transitive == is_2transitive_direct(ctx.Fp)
+
     def test_single_color_word_is_its_orbit(self, ctxd4):
         assert ctxd4.orbital_word((2,)) == ctxd4.orbital_word((4,))
         assert ctxd4.orbital_word((1, 2)) != ctxd4.orbital_word((1, 3))

@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from treelocal.errors import TreeLocalError
+from treelocal import tree
+from treelocal.errors import SizeLimitExceeded, TreeLocalError
 from treelocal.tree import (
     BASE,
     EventuallyPeriodic,
@@ -137,6 +138,17 @@ class TestBall:
 
     def test_offcenter_size(self):
         assert len(list(ball(Vertex((1, 2)), 3, 3))) == ball_size(3, 3)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(tree, "BALL_CAP", ball_size(3, 4))
+        assert len(list(ball(BASE, 3, 4))) == ball_size(3, 4)
+        walk = ball(BASE, 4, 4)
+        with pytest.raises(SizeLimitExceeded, match="BALL_CAP"):
+            next(walk)
+
+    def test_huge_radius_refused_at_once(self):
+        with pytest.raises(SizeLimitExceeded):
+            next(ball(BASE, 10 ** 12, 3))
 
     def test_needs_degree_three(self):
         with pytest.raises(TreeLocalError):
