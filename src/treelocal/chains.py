@@ -13,6 +13,7 @@ integer matrices by fraction-free elimination (ratmat).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from .ratmat import rank
 from .tree import (
     BASE,
     LineSpec,
+    Segment,
     Vertex,
     ball,
     distance,
@@ -103,6 +105,8 @@ class ComplexWindow:
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise TreeLocalError("window points must be distinct")
+        if self.max_degree < 0:
+            raise TreeLocalError(f"negative max degree {self.max_degree}")
 
     def basis(self, n: int) -> list[tuple[Vertex, ...]]:
         pts = sorted(self.points, key=vertex_key)
@@ -205,6 +209,48 @@ def random_chain(w: ComplexWindow, n: int, rng: random.Random,
     return AlternatingChain.build(n, raw)
 
 
+def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
+                    rng: random.Random) -> list[tuple[tuple[Vertex, ...], Segment]]:
+    """Up to cap aligned size-tuples of the points, each with its span
+    (the geodesic of its extreme pair), drawn uniformly without
+    replacement by rank; all of them when there are at most cap.
+
+    The points must be a convex set listed in ball order, such as a ball.
+    Then the geodesic of any two holds all d(a, b) - 1 vertices strictly
+    inside it, so the pair (a, b), as the extreme pair, spans
+    comb(d(a, b) - 1, size - 2) tuples (one when size is 2; a single
+    point spans the length-0 geodesic [v, v]).  The ranks run pair-major
+    over itertools.combinations(points, 2), and a rank is mapped to its
+    pair by bisection on the cumulative weights and to the inside
+    vertices by their combination of that rank, so the window's tuples
+    are never listed.  Entries keep the order of points, and the tuples
+    are sorted by it: with at most cap tuples, the list is
+    aligned_tuples(points, size).
+    """
+    if size < 1:
+        raise TreeLocalError("an aligned tuple needs at least one point")
+    if size == 1:
+        pairs, weights = [(p, p) for p in points], [1] * len(points)
+    else:
+        pairs = list(itertools.combinations(points, 2))
+        weights = [math.comb(distance(a, b) - 1, size - 2) for a, b in pairs]
+    ends = list(itertools.accumulate(weights))
+    total = ends[-1] if ends else 0
+    picks = range(total) if total <= cap else rng.sample(range(total), cap)
+    order = {p: i for i, p in enumerate(points)}
+    drawn = []
+    for k in picks:
+        i = bisect.bisect_right(ends, k)
+        a, b = pairs[i]
+        span = geodesic(a, b)
+        between = next(itertools.islice(
+            itertools.combinations(span.vertices()[1:-1], max(size - 2, 0)),
+            k - (ends[i - 1] if i else 0), None))
+        drawn.append((tuple(sorted(order[v] for v in {a, b, *between})), span))
+    drawn.sort(key=lambda entry: entry[0])
+    return [(tuple(points[j] for j in key), span) for key, span in drawn]
+
+
 def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
                                      window_radius: int, n: int,
                                      sample_cap: int = 120,
@@ -221,6 +267,11 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
     The second transport is Compose(t, g) for the first transport g, so
     its anchor index is always two past the first's, h is t itself, and
     ``consistent`` equals ``transported`` by construction.
+
+    The sample (_aligned_sample) is uniform without replacement, and no
+    list of the window is built.  Its ranks run pair-major, so a seed
+    selects other tuples than a draw from the list aligned_tuples would;
+    the report holds only counts and failures.
 
     Requires the hypotheses: F' 2-transitive and the stabilizer of L
     edge-transitive on a window (checked here via t and r).  A window
@@ -241,19 +292,11 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
     if not edge_transitivity_check(ctx, L, [t, r], max(4, window_radius)):
         raise HypothesisUnverified("line stabilizer not edge-transitive on window")
 
-    tuples = aligned_tuples(points, n + 1)
-    rng = random.Random(seed)
-    if len(tuples) > sample_cap:
-        tuples = rng.sample(tuples, sample_cap)
-        tuples.sort()
-
+    sample = _aligned_sample(points, n + 1, sample_cap, random.Random(seed))
     transported = 0
     consistent = 0
     failures: list[str] = []
-    for tup in tuples:
-        far = max(itertools.combinations(tup, 2),
-                  key=lambda ab: distance(*ab))
-        span = geodesic(*far)
+    for tup, span in sample:
         g = transport_into_line(ctx, span, L, parity="even")
         images = [g.apply(v) for v in tup]
         idx = [L.index_of(x) for x in images]
@@ -275,7 +318,7 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
         else:
             failures.append(f"tuple {tup}: stabilizer element does not match")
     return {
-        "tuples_checked": len(tuples),
+        "tuples_checked": len(sample),
         "transported": transported,
         "consistent": consistent,
         "failures": failures,

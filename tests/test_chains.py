@@ -10,6 +10,7 @@ from treelocal.errors import HypothesisUnverified, SizeLimitExceeded
 from treelocal.chains import (
     AlternatingChain,
     ComplexWindow,
+    _aligned_sample,
     aligned_basis,
     aligned_closure_check,
     aligned_count_bound,
@@ -22,7 +23,7 @@ from treelocal.chains import (
 )
 from treelocal.localaction import build_line
 from treelocal.ratmat import rank
-from treelocal.tree import BASE, Vertex, ball, is_aligned
+from treelocal.tree import BASE, Vertex, ball, is_aligned, is_aligned_bruteforce
 
 
 V = Vertex.parse
@@ -157,3 +158,69 @@ class TestRestriction:
         r2 = restriction_correspondence_check(ctx3, L, 2, 2,
                                               sample_cap=40, seed=5)
         assert r1 == r2
+
+
+class TestAlignedSample:
+    """_aligned_sample draws by rank from the closed-form count of the
+    aligned tuples of a ball; aligned_tuples is the reference."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_whole_window_under_cap(self, d):
+        for R in range(4):
+            points = list(ball(BASE, R, d))
+            for size in range(1, 5):
+                ref = aligned_tuples(points, size)
+                drawn = _aligned_sample(points, size, len(ref), random.Random(0))
+                assert [tup for tup, _ in drawn] == ref
+                for tup, span in drawn:
+                    assert {span.start, span.end} <= set(tup)
+                    assert set(tup) <= set(span.vertices())
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_total_is_the_closed_form_count(self, d):
+        # with cap = count the whole window comes back (total <= count), and
+        # with cap = count - 1 a sample of cap tuples (total > count - 1)
+        for R in range(4):
+            points = list(ball(BASE, R, d))
+            for size in range(1, 5):
+                count = len(aligned_tuples(points, size))
+                if count:
+                    drawn = _aligned_sample(points, size, count - 1,
+                                            random.Random(0))
+                    assert len(drawn) == count - 1
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sample_over_cap(self, d):
+        points = list(ball(BASE, 3, d))
+        order = {p: i for i, p in enumerate(points)}
+        for size in range(2, 5):
+            for seed in range(3):
+                drawn = _aligned_sample(points, size, 30, random.Random(seed))
+                tuples = [tup for tup, _ in drawn]
+                assert len(set(tuples)) == len(tuples) == 30
+                assert all(is_aligned_bruteforce(t) for t in tuples)
+                keys = [[order[v] for v in t] for t in tuples]
+                assert all(k == sorted(k) for k in keys)
+                assert keys == sorted(keys)
+                assert drawn == _aligned_sample(points, size, 30,
+                                                random.Random(seed))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_every_tuple_drawn_across_seeds(self, d):
+        points = list(ball(BASE, 2, d))
+        every = aligned_tuples(points, 3)
+        seen = set()
+        for seed in range(200):
+            seen.update(tup for tup, _ in _aligned_sample(
+                points, 3, len(every) // 2, random.Random(seed)))
+        assert seen == set(every)
+
+    def test_check_lists_no_window(self, ctx4, monkeypatch):
+        import treelocal.chains as chains
+        calls = []
+        monkeypatch.setattr(chains, "aligned_tuples",
+                            lambda *a: calls.append(a) or aligned_tuples(*a))
+        L, _, _ = build_line(ctx4)
+        report = restriction_correspondence_check(ctx4, L, 3, 2)
+        assert report["tuples_checked"] == report["consistent"] == 120
+        assert calls == []

@@ -210,6 +210,24 @@ class TestChains:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ENUMERATION_CAP" in err
 
+    def test_restriction_of_single_points(self, capsys, spec4):
+        # ball(e, 3) at d = 4 has 53 vertices, ball(e, 4) has 161
+        for radius, checked in (("3", 53), ("4", 120)):
+            code, out, _ = run(capsys, "chains", "restriction", "--spec", spec4,
+                               "--radius", radius, "--degree", "0")
+            assert code == EXIT_OK
+            assert json.loads(out) == {"tuples_checked": checked,
+                                       "transported": checked,
+                                       "consistent": checked, "failures": []}
+
+    def test_negative_max_degree_exits_1(self, capsys):
+        for degree in ("-1", "-3"):
+            code, out, err = run(capsys, "chains", "exactness", "--points",
+                                 "e,1", "--max-degree", degree)
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTree:
     def test_ball_count(self, capsys):
