@@ -152,9 +152,59 @@ def axis_column(ctx: GroupContext, w: Sequence[int], n: int) -> Counter:
     return ahead
 
 
+def _axis_words(ctx: GroupContext, bound: int) -> list[tuple[int, ...]]:
+    """The first cyclically reduced word of each axis among the words of
+    length 2..bound, in word order (by length, then lexicographic, as
+    reduced_words lists each length), built without listing the words.
+
+    The axis of w is ctx.orbital_word(w + w[:1]): the labels of its
+    consecutive pairs followed by orbital[w[-1], w[0]].  So it depends
+    only on the key (first color, last color, labels) of w as a prefix,
+    and extending a prefix by a color c extends its key by c and
+    orbital[last, c].  Pass over the lengths breadth-first, keeping the
+    first prefix of each key.  Exactness: for two prefixes p < q of one
+    length with equal keys, p + s and q + s have equal keys after any
+    common extension s, and p + s < q + s; so q never supplies a first
+    word, and neither does any extension of it.  The kept prefixes of a
+    length are extended in order, each by the colors c != last in
+    ascending order, so every level is kept in lexicographic order, and
+    the first kept prefix of an axis at a length is the first word of
+    that axis there.
+
+    ENUMERATION_CAP counts the prefixes kept, over all levels.  Each
+    prefix has at most d - 1 extensions, so a level that could push the
+    total past the cap is refused before it is built."""
+    d = ctx.d
+    orbital = ctx.orbital
+    level = {(k, k, ()): (k,) for k in range(1, d + 1)}
+    total = len(level)
+    seen: set[tuple[int, ...]] = set()
+    words = []
+    for n in range(2, bound + 1):
+        if total + (d - 1) * len(level) > ENUMERATION_CAP:
+            raise SizeLimitExceeded(
+                f"axis prefixes up to length {bound} at d = {d} could exceed "
+                f"ENUMERATION_CAP {ENUMERATION_CAP} (it counts prefixes)")
+        grown: dict[tuple, tuple[int, ...]] = {}
+        for (first, last, labels), w in level.items():
+            for c in range(1, d + 1):
+                if c != last:
+                    grown.setdefault((first, c, labels + (orbital[last, c],)),
+                                     w + (c,))
+        level = grown
+        total += len(level)
+        for (first, last, labels), w in level.items():
+            if first != last:
+                axis = labels + (orbital[last, first],)
+                if axis not in seen:
+                    seen.add(axis)
+                    words.append(w)
+    return words
+
+
 class _AxisColumns:
-    """The candidate words of a search, one per axis, with their axis
-    columns computed once per (candidate, segment length).
+    """The candidate words of a search, one per axis (_axis_words), with
+    their axis columns computed once per (candidate, segment length).
 
     The axis of a cyclically reduced word w is its cyclic orbital word
     ctx.orbital_word(w + w[:1]).  Lemma: every value a search reads from w
@@ -168,12 +218,9 @@ class _AxisColumns:
     axis, in word order, leaves the first hit of a search, and with it
     every witness, unchanged."""
 
-    def __init__(self, ctx: GroupContext, words: Sequence[tuple[int, ...]]):
+    def __init__(self, ctx: GroupContext, bound: int):
         self.ctx = ctx
-        first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for w in words:
-            first.setdefault(ctx.orbital_word(w + w[:1]), w)
-        self.words = list(first.values())
+        self.words = _axis_words(ctx, bound)
         self.columns: dict[tuple[int, int], Counter] = {}
 
     def __call__(self, i: int, n: int) -> Counter:
@@ -237,9 +284,10 @@ def nontriviality_witness(
         f: MedianQM, search_bound: int) -> Optional[tuple[Automorphism, Automorphism]]:
     """A pair (a, b) with homogenize(ab) != homogenize(a) + homogenize(b),
     certifying that the homogenization is not a homomorphism.  Searches
-    word translations up to the bound; None when the search is exhausted."""
+    word translations up to the bound, refused past ENUMERATION_CAP words
+    (_search_words); None when the search is exhausted."""
     d = f.ctx.d
-    for w in cyclically_reduced_words(d, search_bound):
+    for w in _search_words(d, search_bound):
         h = homogenize_word(f, w)
         if h == 0:
             continue
@@ -265,7 +313,7 @@ def find_nonvanishing_qm(
     carry a constant boundary correction, and the exact-agreement ones
     make the limit visible at finite n.
     """
-    column = _AxisColumns(ctx, _search_words(ctx.d, search_bound))
+    column = _AxisColumns(ctx, search_bound)
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
             key = ctx.orbital_word(rep)
@@ -313,7 +361,7 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
     nonzero; ratmat.border tests that from det A and adj A, kept as ints
     and updated on each acceptance.  The row u, column c and corner h of a
     word depend only on its axis, so one word per axis is scanned."""
-    column = _AxisColumns(ctx, _search_words(ctx.d, search_bound))
+    column = _AxisColumns(ctx, search_bound)
     chosen_qms: list[MedianQM] = []
     chosen_keys: list[tuple[int, tuple[int, ...]]] = []
     chosen_words: list[int] = []

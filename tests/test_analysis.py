@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treelocal.errors import SizeLimitExceeded
 from treelocal.analysis import (
     BranchReport,
     RunConfig,
@@ -18,6 +19,10 @@ FAST = RunConfig(census_n=2, sample_size=10, membership_radius=4, window=4,
                  transport_samples=3, transport_max_len=3, qm_max_seg=2,
                  qm_search_bound=4, qm_rank_max_seg=2, rank_target=1,
                  limit_N=8, seed=0)
+
+# The bounds at which branch 2 completes on the pairs whose F' fixes one
+# color and is 2-transitive on the rest (F' = Sym(3) at d = 4)
+WIDE = RunConfig(qm_max_seg=6, qm_search_bound=11, qm_rank_max_seg=8)
 
 
 class TestValidateInputs:
@@ -102,3 +107,39 @@ class TestBranchDecision:
     def test_parameters_recorded(self, ctx3):
         report = theorem1_branch(ctx3, FAST)
         assert report.parameters == FAST.to_dict()
+
+
+class TestFixedColorFamily:
+    @pytest.mark.parametrize("d, F, Fp", [
+        pytest.param(4, ["(2 3 4)"], ["(2 3 4)", "(2 3)"], id="d4-fixes-1"),
+        pytest.param(4, ["(1 3 4)"], ["(1 3 4)", "(1 3)"], id="d4-fixes-2"),
+        pytest.param(4, ["(1 2 4)"], ["(1 2 4)", "(1 2)"], id="d4-fixes-3"),
+        pytest.param(4, ["(1 2 3)"], ["(1 2 3)", "(1 2)"], id="d4-fixes-4"),
+        pytest.param(5, ["(2 3)(4 5)", "(2 4)(3 5)"], ["(2 3 4 5)", "(2 3)"],
+                     id="d5-fixes-1"),
+    ])
+    def test_complete_at_wide_bounds(self, d, F, Fp):
+        _, ctx = validate_inputs(d, F, Fp)
+        report = theorem1_branch(ctx, WIDE)
+        assert report.branch == "InfiniteH2"
+        assert report.complete
+
+
+@pytest.mark.slow
+def test_degree5_sweep_complete():
+    # every non-2-transitive pair at d = 5 completes under the default
+    # bounds or under WIDE; WIDE alone is refused on some pairs, whose
+    # prefixes up to length 11 could exceed ENUMERATION_CAP
+    incomplete = []
+    for ctx in valid_contexts(5):
+        if ctx.two_transitive:
+            continue
+        for cfg in (RunConfig(), WIDE):
+            try:
+                if theorem1_branch(ctx, cfg).complete:
+                    break
+            except SizeLimitExceeded:
+                pass
+        else:
+            incomplete.append((ctx.F.order, ctx.Fp.order))
+    assert incomplete == []

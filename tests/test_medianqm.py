@@ -24,7 +24,7 @@ from treelocal.medianqm import (
     nontriviality_witness,
     reduced_words,
 )
-from treelocal.medianqm import _search_words
+from treelocal.medianqm import _axis_words, _search_words
 from treelocal.tree import BASE, Segment, Vertex
 
 from conftest import (
@@ -146,6 +146,12 @@ class TestSearches:
     def test_search_empty_for_2transitive(self, ctx3):
         assert find_nonvanishing_qm(ctx3, 3, 5) is None
 
+    def test_nontriviality_witness_capped(self, ctx3):
+        # the scan is refused before its words are listed
+        f = MedianQM(Segment(BASE, (1, 2)), BASE, ctx3)
+        with pytest.raises(SizeLimitExceeded):
+            nontriviality_witness(f, 40)
+
     def test_nontriviality_witness(self, ctxd4):
         f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
         pair = nontriviality_witness(f, 8)
@@ -209,9 +215,30 @@ class TestWordEnumeration:
             with pytest.raises(SizeLimitExceeded):
                 _search_words(4, bound)
         with pytest.raises(SizeLimitExceeded):
-            find_nonvanishing_qm(ctxd4, 2, 12)
+            find_nonvanishing_qm(ctxd4, 2, 14)
         with pytest.raises(SizeLimitExceeded):
-            independence_search(ctxd4, 3, 2, 12)
+            independence_search(ctxd4, 3, 2, 14)
+
+
+class TestAxisWords:
+    def test_first_word_per_axis(self):
+        # the oracle: dedupe the listed words by axis, keeping the first
+        for d in (3, 4):
+            words = {b: _search_words(d, b) for b in range(2, 9)}
+            for ctx in valid_contexts(d):
+                for b, ws in words.items():
+                    first = {}
+                    for w in ws:
+                        first.setdefault(ctx.orbital_word(w + w[:1]), w)
+                    assert _axis_words(ctx, b) == list(first.values())
+
+    def test_cap_counts_prefixes(self, ctxd4):
+        # the dihedral pair keeps 32,712 prefixes up to length 12; the
+        # level of length 14 could push the total past the cap
+        assert len(_axis_words(ctxd4, 13)) == 8184
+        for bound in (14, 10 ** 9):
+            with pytest.raises(SizeLimitExceeded, match="ENUMERATION_CAP"):
+                _axis_words(ctxd4, bound)
 
 
 # The window counts and searches as first written, on the slotwise oracle
