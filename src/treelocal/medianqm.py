@@ -152,6 +152,13 @@ def axis_column(ctx: GroupContext, w: Sequence[int], n: int) -> Counter:
     return ahead
 
 
+def _over_cap(d: int, bound: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(
+        f"axis words up to length {bound} at d = {d} exceed ENUMERATION_CAP "
+        f"{ENUMERATION_CAP} (it counts the prefixes kept and the colors of "
+        f"the words returned)")
+
+
 def _axis_words(ctx: GroupContext, bound: int) -> list[tuple[int, ...]]:
     """The first cyclically reduced word of each axis among the words of
     length 2..bound, in word order (by length, then lexicographic, as
@@ -171,34 +178,58 @@ def _axis_words(ctx: GroupContext, bound: int) -> list[tuple[int, ...]]:
     the first kept prefix of an axis at a length is the first word of
     that axis there.
 
-    ENUMERATION_CAP counts the prefixes kept, over all levels.  Each
-    prefix has at most d - 1 extensions, so a level that could push the
-    total past the cap is refused before it is built."""
+    A kept prefix is stored as its parent and its last color, and a label
+    sequence as an id interned from its parent sequence's id and its last
+    label, so each costs O(1) whatever its length.  ENUMERATION_CAP
+    counts what is stored: one per kept prefix and one per color of each
+    word returned (every interned sequence comes with a new prefix or a
+    new axis).  The pass is refused as soon as the count passes the cap,
+    so neither its work nor its memory outgrows the cap."""
     d = ctx.d
     orbital = ctx.orbital
-    level = {(k, k, ()): (k,) for k in range(1, d + 1)}
-    total = len(level)
-    seen: set[tuple[int, ...]] = set()
+    parent: list[int] = []
+    color: list[int] = []
+    interned: dict[tuple[int, int], int] = {}
+
+    def spell(i: int) -> tuple[int, ...]:
+        w = []
+        while i >= 0:
+            w.append(color[i])
+            i = parent[i]
+        return tuple(reversed(w))
+
+    total = d
+    parent.extend([-1] * d)
+    color.extend(range(1, d + 1))
+    level = {(k, k, 0): k - 1 for k in range(1, d + 1)}
+    seen: set[int] = set()
     words = []
     for n in range(2, bound + 1):
-        if total + (d - 1) * len(level) > ENUMERATION_CAP:
-            raise SizeLimitExceeded(
-                f"axis prefixes up to length {bound} at d = {d} could exceed "
-                f"ENUMERATION_CAP {ENUMERATION_CAP} (it counts prefixes)")
-        grown: dict[tuple, tuple[int, ...]] = {}
-        for (first, last, labels), w in level.items():
+        grown: dict[tuple[int, int, int], int] = {}
+        for (first, last, labels), i in level.items():
             for c in range(1, d + 1):
-                if c != last:
-                    grown.setdefault((first, c, labels + (orbital[last, c],)),
-                                     w + (c,))
+                if c == last:
+                    continue
+                key = (first, c, interned.setdefault(
+                    (labels, orbital[last, c]), len(interned) + 1))
+                if key not in grown:
+                    total += 1
+                    if total > ENUMERATION_CAP:
+                        raise _over_cap(d, bound)
+                    grown[key] = len(color)
+                    parent.append(i)
+                    color.append(c)
         level = grown
-        total += len(level)
-        for (first, last, labels), w in level.items():
+        for (first, last, labels), i in level.items():
             if first != last:
-                axis = labels + (orbital[last, first],)
+                axis = interned.setdefault(
+                    (labels, orbital[last, first]), len(interned) + 1)
                 if axis not in seen:
+                    total += n
+                    if total > ENUMERATION_CAP:
+                        raise _over_cap(d, bound)
                     seen.add(axis)
-                    words.append(w)
+                    words.append(spell(i))
     return words
 
 
@@ -265,11 +296,11 @@ def cyclically_reduced_words(d: int, max_len: int,
                 yield w
 
 
-def _search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
-    """The cyclically reduced words of length 2..search_bound, once their
-    number is known to be within ENUMERATION_CAP.  The words of length n
-    with w_1 != w_n are the closed walks of length n on the complete graph
-    K_d: (d-1)^n + (-1)^n (d-1) of them."""
+def _check_word_count(d: int, search_bound: int) -> None:
+    """Refuse when the cyclically reduced words of length 2..search_bound
+    number more than ENUMERATION_CAP.  The words of length n with w_1 !=
+    w_n are the closed walks of length n on the complete graph K_d:
+    (d-1)^n + (-1)^n (d-1) of them."""
     total = 0
     for n in range(2, search_bound + 1):
         total += (d - 1) ** n + (-1) ** n * (d - 1)
@@ -277,6 +308,12 @@ def _search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
             raise SizeLimitExceeded(
                 f"more than {ENUMERATION_CAP} words up to length "
                 f"{search_bound} at d = {d}")
+
+
+def _search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
+    """The cyclically reduced words of length 2..search_bound, once their
+    number is known to be within ENUMERATION_CAP."""
+    _check_word_count(d, search_bound)
     return list(cyclically_reduced_words(d, search_bound))
 
 
@@ -284,10 +321,12 @@ def nontriviality_witness(
         f: MedianQM, search_bound: int) -> Optional[tuple[Automorphism, Automorphism]]:
     """A pair (a, b) with homogenize(ab) != homogenize(a) + homogenize(b),
     certifying that the homogenization is not a homomorphism.  Searches
-    word translations up to the bound, refused past ENUMERATION_CAP words
-    (_search_words); None when the search is exhausted."""
+    word translations up to the bound, in word order, refused past
+    ENUMERATION_CAP words before the scan starts; None when the search is
+    exhausted."""
     d = f.ctx.d
-    for w in _search_words(d, search_bound):
+    _check_word_count(d, search_bound)
+    for w in cyclically_reduced_words(d, search_bound):
         h = homogenize_word(f, w)
         if h == 0:
             continue

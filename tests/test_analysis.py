@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from treelocal.errors import SizeLimitExceeded
 from treelocal.analysis import (
     BranchReport,
     RunConfig,
@@ -124,22 +123,3 @@ class TestFixedColorFamily:
         assert report.branch == "InfiniteH2"
         assert report.complete
 
-
-@pytest.mark.slow
-def test_degree5_sweep_complete():
-    # every non-2-transitive pair at d = 5 completes under the default
-    # bounds or under WIDE; WIDE alone is refused on some pairs, whose
-    # prefixes up to length 11 could exceed ENUMERATION_CAP
-    incomplete = []
-    for ctx in valid_contexts(5):
-        if ctx.two_transitive:
-            continue
-        for cfg in (RunConfig(), WIDE):
-            try:
-                if theorem1_branch(ctx, cfg).complete:
-                    break
-            except SizeLimitExceeded:
-                pass
-        else:
-            incomplete.append((ctx.F.order, ctx.Fp.order))
-    assert incomplete == []

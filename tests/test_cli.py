@@ -330,7 +330,7 @@ class TestMalformedInput:
         ("tree", "dot", "--d", "2"),
         ("qm", "eval", "--segment", '{"start": "e", "colors": [1, 7]}',
          "--word", "1.2"),
-        ("qm", "independence", "--bound", "14"),
+        ("qm", "independence", "--bound", "13"),
     ])
     def test_exits_1_with_one_line(self, capsys, specd4, argv):
         if argv[0] == "qm":

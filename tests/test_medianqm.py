@@ -215,9 +215,9 @@ class TestWordEnumeration:
             with pytest.raises(SizeLimitExceeded):
                 _search_words(4, bound)
         with pytest.raises(SizeLimitExceeded):
-            find_nonvanishing_qm(ctxd4, 2, 14)
+            find_nonvanishing_qm(ctxd4, 2, 13)
         with pytest.raises(SizeLimitExceeded):
-            independence_search(ctxd4, 3, 2, 14)
+            independence_search(ctxd4, 3, 2, 13)
 
 
 class TestAxisWords:
@@ -232,13 +232,20 @@ class TestAxisWords:
                         first.setdefault(ctx.orbital_word(w + w[:1]), w)
                     assert _axis_words(ctx, b) == list(first.values())
 
-    def test_cap_counts_prefixes(self, ctxd4):
-        # the dihedral pair keeps 32,712 prefixes up to length 12; the
-        # level of length 14 could push the total past the cap
-        assert len(_axis_words(ctxd4, 13)) == 8184
-        for bound in (14, 10 ** 9):
+    def test_cap_counts_prefixes_and_colors(self, ctxd4):
+        # the dihedral pair keeps 32,712 prefixes up to length 12 and
+        # returns 4,089 words of 45,021 colors; length 13 passes the cap
+        assert len(_axis_words(ctxd4, 12)) == 4089
+        for bound in (13, 10 ** 9):
             with pytest.raises(SizeLimitExceeded, match="ENUMERATION_CAP"):
                 _axis_words(ctxd4, bound)
+
+    def test_cap_bounds_linear_levels(self, ctx3):
+        # F' 2-transitive: every level keeps at most d^2 prefixes, so it is
+        # the colors of the words returned, one per length, that reach the
+        # cap (first at bound 438)
+        with pytest.raises(SizeLimitExceeded, match="ENUMERATION_CAP"):
+            _axis_words(ctx3, 10 ** 9)
 
 
 # The window counts and searches as first written, on the slotwise oracle
