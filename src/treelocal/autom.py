@@ -383,7 +383,9 @@ class SegmentPortrait(FilledPortrait):
     def _validate(self):
         for i in range(len(self.skeleton) - 1):
             u, w = self.skeleton[i], self.skeleton[i + 1]
-            k = edge_between(u, w).color
+            # __init__ checked that u, w are adjacent: the edge's color is
+            # the last letter of the longer one
+            k = (w if len(w) > len(u) else u)[-1]
             if self.sigmas[i](k) != self.sigmas[i + 1](k):
                 raise InconsistentPortrait(
                     f"sigma at {u} and {w} disagree on edge color {k}")
@@ -654,11 +656,6 @@ class MembershipCertificate:
     singular_in_radius: tuple[Vertex, ...]
     in_Uprime_in_radius: bool
     exact: bool
-
-
-def singular_support(g: Automorphism, F: PermGroup, R: int) -> list[Vertex]:
-    """Vertices in ball(base, R) where the local permutation leaves F."""
-    return [v for v, s in g.ball_locals(R) if s not in F]
 
 
 def certify_membership(g: Automorphism, F: PermGroup, Fp: PermGroup,

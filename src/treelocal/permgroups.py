@@ -53,24 +53,31 @@ class Permutation(tuple):
     def __call__(self, i: int) -> int:
         return self[i - 1]
 
+    # after, inv and power build their result with tuple.__new__: a
+    # composite, inverse or power of bijections is a bijection, so only the
+    # constructor above (and the parsers that call it) checks its input.
+
     def after(self, other: "Permutation") -> "Permutation":
         """Composition self o other (apply ``other`` first)."""
         if len(self) != len(other):
             raise DegreeMismatch(f"{len(self)} vs {len(other)}")
-        return Permutation(self[other[i] - 1] for i in range(len(self)))
+        return tuple.__new__(Permutation, [self[j - 1] for j in other])
 
     def inv(self) -> "Permutation":
         images = [0] * len(self)
         for i, j in enumerate(self, start=1):
             images[j - 1] = i
-        return Permutation(images)
+        return tuple.__new__(Permutation, images)
 
     def power(self, n: int) -> "Permutation":
-        p = Permutation.identity(len(self))
-        q = self if n >= 0 else self.inv()
-        for _ in range(abs(n)):
-            p = q.after(p)
-        return p
+        """self^n in O(d) for any integer n: each cycle is read once and
+        every point on it moves n mod (cycle length) steps along it."""
+        images = list(range(1, len(self) + 1))
+        for cyc in self.cycles():
+            k = len(cyc)
+            for pos, i in enumerate(cyc):
+                images[i - 1] = cyc[(pos + n) % k]
+        return tuple.__new__(Permutation, images)
 
     def is_identity(self) -> bool:
         return all(self[i] == i + 1 for i in range(len(self)))

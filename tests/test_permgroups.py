@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from treelocal.errors import (
     ConflictingConstraints,
+    DegreeMismatch,
     MalformedCycle,
     OutOfRange,
     RepeatedEntry,
@@ -36,19 +37,54 @@ perm_strategy = st.integers(3, 6).flatmap(
 class TestPermutation:
     def test_identity(self):
         e = Permutation.identity(4)
-        assert e.is_identity
+        assert e.is_identity()
         assert [e(i) for i in range(1, 5)] == [1, 2, 3, 4]
 
     @given(perm_strategy)
     def test_inverse_cancels(self, p):
-        assert p.after(p.inv()).is_identity
-        assert p.inv().after(p).is_identity
+        assert p.after(p.inv()).is_identity()
+        assert p.inv().after(p).is_identity()
 
     @given(perm_strategy)
     def test_power_consistency(self, p):
-        assert p.power(0).is_identity
+        assert p.power(0).is_identity()
         assert p.power(2) == p.after(p)
         assert p.power(-1) == p.inv()
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_power_oracle(self, d):
+        # n-fold composition through the validating constructor, for every
+        # permutation of degree d and every n in [-2 order, 2 order]
+        for p in symmetric_group(d).elements:
+            order = len(generate([p], d).elements)
+            q = Permutation(p.index(i) + 1 for i in range(1, d + 1))
+            for n in range(-2 * order, 2 * order + 1):
+                step = p if n >= 0 else q
+                expected = Permutation.identity(d)
+                for _ in range(abs(n)):
+                    expected = Permutation(step[j - 1] for j in expected)
+                assert p.power(n) == expected
+
+    def test_power_huge_exponent(self):
+        p = parse_cycles("(1 2 3)(4 5)", 5)
+        # 10**18 is 1 mod 3 and 0 mod 2
+        assert p.power(10**18) == parse_cycles("(1 2 3)", 5)
+        assert p.power(-10**18) == parse_cycles("(1 3 2)", 5)
+
+    @given(st.integers(3, 6).flatmap(lambda d: st.tuples(
+        *[st.permutations(list(range(1, d + 1))).map(Permutation)] * 2)),
+        st.integers(-50, 50))
+    def test_results_are_valid_permutations(self, pq, n):
+        p, q = pq
+        for x in (p.after(q), p.inv(), p.power(n)):
+            assert type(x) is Permutation
+            assert x == Permutation(tuple(x))
+
+    def test_boundary_still_validates(self):
+        with pytest.raises(MalformedCycle):
+            Permutation((1, 1, 2))
+        with pytest.raises(DegreeMismatch):
+            Permutation.identity(3).after(Permutation.identity(4))
 
     def test_after_order(self):
         # (p after q)(x) = p(q(x))
@@ -62,8 +98,8 @@ class TestPermutation:
         assert parse_cycles(p.cycle_string(), 5) == p
 
     def test_parse_identity_forms(self):
-        assert parse_cycles("()", 4).is_identity
-        assert parse_cycles("", 4).is_identity
+        assert parse_cycles("()", 4).is_identity()
+        assert parse_cycles("", 4).is_identity()
 
     def test_parse_errors(self):
         with pytest.raises(OutOfRange):
