@@ -49,11 +49,9 @@ from .autom import (
     certify_membership,
     classify,
     compose,
-    conjugate_support_shift_check,
     equal_on_ball,
     eta,
     inverse,
-    moved_set,
     power,
 )
 from .localaction import (
@@ -75,7 +73,6 @@ from .medianqm import (
     IndependenceCertificate,
     MedianQM,
     QMEvaluation,
-    defect_sample,
     eval_qm,
     find_nonvanishing_qm,
     homogenize,

@@ -16,7 +16,7 @@ InconsistentPortrait rather than producing a wrong vertex map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     InconsistentPortrait,
@@ -31,6 +31,7 @@ from .tree import (
     EdgeRef,
     LineSpec,
     Vertex,
+    adjacent,
     ball,
     distance,
     edge_between,
@@ -94,28 +95,7 @@ class Automorphism:
         return type(self).__name__
 
 
-def _walk_image(g: Automorphism, start: Vertex, start_image: Vertex,
-                v: Vertex, check_edges: bool = False) -> Vertex:
-    """Image of v obtained by walking the geodesic from start, whose image
-    is known, stepping the image side by the local permutation."""
-    u = start
-    x = start_image
-    for k in geodesic_colors(start, v):
-        if check_edges:
-            w = neighbor(u, k)
-            if g.local(u)(k) != g.local(w)(k):
-                raise InconsistentPortrait(
-                    f"edge ({u}, {w}) color {k}: "
-                    f"{g.local(u)(k)} != {g.local(w)(k)}")
-        x = neighbor(x, g.local(u)(k))
-        u = neighbor(u, k)
-    return x
-
-
 class Identity(Automorphism):
-    def __init__(self, d: int):
-        super().__init__(d)
-
     def _apply(self, v: Vertex) -> Vertex:
         return v
 
@@ -225,10 +205,17 @@ class Patched(Automorphism):
         self.overrides = dict(overrides)
 
     def _apply(self, v: Vertex) -> Vertex:
-        return _walk_image(self, BASE, self.apply_base(), v, check_edges=True)
-
-    def apply_base(self) -> Vertex:
-        return self.base.apply(BASE)
+        """Walk from BASE to v, stepping the image by the local
+        permutations and checking each edge walked."""
+        u, x = BASE, self.base.apply(BASE)
+        for k in v:
+            w = neighbor(u, k)
+            if self.local(u)(k) != self.local(w)(k):
+                raise InconsistentPortrait(
+                    f"edge ({u}, {w}) color {k}: "
+                    f"{self.local(u)(k)} != {self.local(w)(k)}")
+            x, u = neighbor(x, self.local(u)(k)), w
+        return x
 
     def _local(self, v: Vertex) -> Permutation:
         hit = self.overrides.get(v)
@@ -371,7 +358,7 @@ class SegmentPortrait(FilledPortrait):
         if not vertices:
             raise TreeLocalError("skeleton must be nonempty")
         for a, b in zip(vertices, vertices[1:]):
-            if distance(a, b) != 1:
+            if not adjacent(a, b):
                 raise TreeLocalError("skeleton vertices must be consecutive")
         super().__init__(fill, vertices[0])
         self.skeleton = tuple(vertices)
@@ -389,11 +376,11 @@ class SegmentPortrait(FilledPortrait):
             if self.sigmas[i](k) != self.sigmas[i + 1](k):
                 raise InconsistentPortrait(
                     f"sigma at {u} and {w} disagree on edge color {k}")
+            # this also keeps consecutive images adjacent, since neighbor
+            # returns a vertex adjacent to its argument
             if neighbor(self.images[i], self.sigmas[i](k)) != self.images[i + 1]:
                 raise InconsistentPortrait(
                     f"images of {u}, {w} are not related by sigma on color {k}")
-            if distance(self.images[i], self.images[i + 1]) != 1:
-                raise InconsistentPortrait("images must stay adjacent")
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         return self._index.get(v)
@@ -673,21 +660,6 @@ def certify_membership(g: Automorphism, F: PermGroup, Fp: PermGroup,
         in_Uprime_in_radius=in_up,
         exact=g.is_exact(F),
     )
-
-
-def moved_set(g: Automorphism, window: Iterable[Vertex]) -> list[Vertex]:
-    return [v for v in window if g.apply(v) != v]
-
-
-def conjugate_support_shift_check(a: Automorphism, b: Automorphism,
-                                  window: Sequence[Vertex]) -> bool:
-    """The moved set of a^-1 b a on the window equals the a-preimage of the
-    moved set of b on the a-image of the window."""
-    conj = Compose(Inverse(a), Compose(b, a))
-    lhs = set(moved_set(conj, window))
-    a_inv = Inverse(a)
-    rhs = {a_inv.apply(v) for v in moved_set(b, [a.apply(w) for w in window])}
-    return lhs == rhs
 
 
 def equal_on_ball(g: Automorphism, h: Automorphism, R: int) -> bool:

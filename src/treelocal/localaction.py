@@ -187,11 +187,17 @@ def extend_from_segment(ctx: GroupContext, source: Segment, target: Segment,
     if len(sigmas) != source.length + 1:
         raise IncompatibleSigma(
             f"need {source.length + 1} permutations, got {len(sigmas)}")
+    return _extend(ctx, source.vertices(), target.vertices(), sigmas)
+
+
+def _extend(ctx: GroupContext, vertices: Sequence[Vertex],
+            images: Sequence[Vertex], sigmas: Sequence[Permutation]) -> Automorphism:
+    """The portrait vertices[i] -> images[i] with sigmas[i] in F', filled by F."""
     for p in sigmas:
         if p not in ctx.Fp:
             raise IncompatibleSigma(f"{p.cycle_string()} is not in F'")
     try:
-        return SegmentPortrait(source.vertices(), target.vertices(), sigmas, ctx.F)
+        return SegmentPortrait(vertices, images, sigmas, ctx.F)
     except InconsistentPortrait as exc:
         raise IncompatibleSigma(str(exc)) from exc
 
@@ -219,13 +225,19 @@ def segment_transport(ctx: GroupContext, s: Segment,
     those exist."""
     if s.length != s2.length:
         raise LengthMismatch(f"{s.length} vs {s2.length}")
-    a, b = s.colors, s2.colors
+    return _transport(ctx, s, s2.colors, s2.vertices())
+
+
+def _transport(ctx: GroupContext, s: Segment, colors: Sequence[int],
+               images: Sequence[Vertex]) -> Optional[Automorphism]:
+    """segment_transport onto the walk images with step colors colors."""
+    pairs = list(zip(s.colors, colors))
     try:
-        sigmas = [_slot(ctx, [(a[j], b[j]) for j in (i - 1, i) if 0 <= j < len(a)])
-                  for i in range(len(a) + 1)]
+        sigmas = [_slot(ctx, pairs[max(i - 1, 0):i + 1])
+                  for i in range(len(pairs) + 1)]
     except ConstraintUnsolvable:
         return None
-    return extend_from_segment(ctx, s, s2, sigmas)
+    return _extend(ctx, s.vertices(), images, sigmas)
 
 
 def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
@@ -238,16 +250,16 @@ def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
     line colors never backtrack, so each slot asks F' to map one pair of
     distinct points to another pair of distinct points (or, at an end,
     one point to another).  The first index of the right parity is
-    therefore always taken.
+    therefore always taken.  The images v_j..v_{j+n} are read off L.
     """
     if parity not in ("even", "any"):
         raise TreeLocalError(f"parity must be 'even' or 'any', not {parity!r}")
     if not ctx.two_transitive:
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")
     j = 1 if parity == "even" and distance(s.start, L.vertex(0)) % 2 else 0
-    target = Segment(L.vertex(j),
-                     tuple(L.edge_color(j + i) for i in range(1, s.length + 1)))
-    return segment_transport(ctx, s, target)
+    steps = range(j + 1, j + s.length + 1)
+    return _transport(ctx, s, [L.edge_color(i) for i in steps],
+                      [L.vertex(j)] + [L.vertex(i) for i in steps])
 
 
 # --- the line, its translation and rotation ---

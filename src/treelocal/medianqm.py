@@ -59,12 +59,11 @@ class QMEvaluation:
     backward_count: int
 
 
-def _window_counts(ctx: GroupContext, word: Sequence[int], n: int,
-                   start: int, stop: int) -> tuple[Counter, Counter]:
-    """How often each orbital word occurs among the windows word[i : i+n]
-    with i in [start, stop), and among their reversals: slices of the
-    labels of the pairs (w_j, w_{j+1}), and reversed slices of the labels
-    of (w_{j+1}, w_j); for n = 1, of the pairs (w_j, w_j)."""
+def _labels(ctx: GroupContext, word: Sequence[int], n: int) -> tuple[list, list]:
+    """The labels of the pairs (w_j, w_{j+1}) and of (w_{j+1}, w_j) that
+    length-n windows read; for n = 1, those of (w_j, w_j), twice.  Lists,
+    not tuples: CPython keeps freed short tuples on free lists, which
+    raised a survey round's peak memory by 0.4 MB."""
     orbital = ctx.orbital
     try:
         if n == 1:
@@ -74,6 +73,15 @@ def _window_counts(ctx: GroupContext, word: Sequence[int], n: int,
             back = [orbital[y, x] for x, y in zip(word, word[1:])]
     except KeyError:
         raise OutOfRange(f"colors {list(word)} outside 1..{ctx.d}") from None
+    return ahead, back
+
+
+def _window_counts(ctx: GroupContext, word: Sequence[int], n: int,
+                   start: int, stop: int) -> tuple[Counter, Counter]:
+    """How often each orbital word occurs among the windows word[i : i+n]
+    with i in [start, stop), and among their reversals: slices of the
+    forward labels, and reversed slices of the backward labels."""
+    ahead, back = _labels(ctx, word, n)
     k = max(1, n - 1)
     starts = range(start, min(stop, len(word) - n + 1))
     return (Counter(tuple(ahead[i:i + k]) for i in starts),
@@ -84,10 +92,13 @@ def _signed_count(ctx: GroupContext, word: Sequence[int], pattern: Sequence[int]
                  start: int, stop: int) -> tuple[int, int]:
     """(forward, backward): the window starts i in [start, stop) whose
     window word[i : i+|pattern|] matches the pattern, and those whose
-    reversed window does."""
-    ahead, back = _window_counts(ctx, word, len(pattern), start, stop)
-    key = ctx.orbital_word(pattern)
-    return ahead[key], back[key]
+    reversed window does, counted without tallying the other windows."""
+    ahead, back = _labels(ctx, word, len(pattern))
+    key = list(ctx.orbital_word(pattern))
+    yek, k = key[::-1], len(key)
+    starts = range(start, min(stop, len(word) - len(pattern) + 1))
+    return (sum(ahead[i:i + k] == key for i in starts),
+            sum(back[i:i + k] == yek for i in starts))
 
 
 def eval_qm(f: MedianQM, g: Automorphism) -> QMEvaluation:
@@ -142,10 +153,12 @@ def axis_column(ctx: GroupContext, w: Sequence[int], n: int) -> Counter:
     signed window counts over one period of the axis, whose colors are
     the cyclic reduction of w repeated.  Backward occurrences are
     attributed to the forward window they occupy, which is equivalent per
-    period to any other attribution."""
+    period to any other attribution.  For n = 1 the column is empty: a
+    one-color window and its reversal read the same diagonal label
+    orbital[x, x], so every forward count cancels a backward one."""
     t = cyclic_reduction(w)
     ell = len(t)
-    if ell <= 1:
+    if ell <= 1 or n == 1:
         return Counter()
     ahead, back = _window_counts(ctx, t * (2 + n // ell), n, 0, ell)
     ahead.subtract(back)
@@ -253,6 +266,8 @@ class _AxisColumns:
         self.ctx = ctx
         self.words = _axis_words(ctx, bound)
         self.columns: dict[tuple[int, int], Counter] = {}
+        # per length with every column built: each key's nonzero (i, h)
+        self.nonzero: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
 
     def __call__(self, i: int, n: int) -> Counter:
         """The axis column of words[i] for segment length n."""
@@ -260,6 +275,25 @@ class _AxisColumns:
         if col is None:
             col = self.columns[i, n] = axis_column(self.ctx, self.words[i], n)
         return col
+
+    def hits(self, n: int, key: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        """(i, h) for the words i with h = column(i, n)[key] nonzero, in
+        word order, building columns only as the scan reaches them.  A
+        scan that reaches the last word has built every column of length
+        n; it indexes the words by nonzero key for the later scans."""
+        index = self.nonzero.get(n)
+        if index is not None:
+            yield from index.get(key, ())
+            return
+        for i in range(len(self.words)):
+            h = self(i, n)[key]
+            if h:
+                yield i, h
+        index = self.nonzero[n] = {}
+        for i in range(len(self.words)):
+            for k, h in self.columns[i, n].items():
+                if h:
+                    index.setdefault(k, []).append((i, h))
 
 
 def homogenize_word(f: MedianQM, w: Sequence[int]) -> int:
@@ -276,23 +310,12 @@ def eval_colors(ctx: GroupContext, word: tuple[int, ...],
     return fwd - bwd
 
 
-def defect_sample(f: MedianQM,
-                  pairs: Sequence[tuple[Automorphism, Automorphism]]) -> int:
-    """max |f(ab) - f(a) - f(b)| over the pairs; a lower bound on the
-    defect of f."""
-    best = 0
-    for a, b in pairs:
-        ab = Compose(a, b)
-        gap = abs(eval_qm(f, ab).value - eval_qm(f, a).value - eval_qm(f, b).value)
-        best = max(best, gap)
-    return best
-
-
-def cyclically_reduced_words(d: int, max_len: int,
-                             min_len: int = 2) -> Iterator[tuple[int, ...]]:
-    for length in range(min_len, max_len + 1):
+def cyclically_reduced_words(d: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The reduced words of length 2..max_len with w[0] != w[-1], in word
+    order."""
+    for length in range(2, max_len + 1):
         for w in reduced_words(d, length):
-            if w[0] != w[-1] or length == 1:
+            if w[0] != w[-1]:
                 yield w
 
 
@@ -308,13 +331,6 @@ def _check_word_count(d: int, search_bound: int) -> None:
             raise SizeLimitExceeded(
                 f"more than {ENUMERATION_CAP} words up to length "
                 f"{search_bound} at d = {d}")
-
-
-def _search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
-    """The cyclically reduced words of length 2..search_bound, once their
-    number is known to be within ENUMERATION_CAP."""
-    _check_word_count(d, search_bound)
-    return list(cyclically_reduced_words(d, search_bound))
 
 
 def nontriviality_witness(
@@ -355,11 +371,9 @@ def find_nonvanishing_qm(
     column = _AxisColumns(ctx, search_bound)
     for seg_len in range(1, max_seg + 1):
         for rep in segment_orbit_census(ctx, seg_len):
-            key = ctx.orbital_word(rep)
-            for i, w in enumerate(column.words):
-                h = column(i, seg_len)[key]
-                if h != 0 and all(eval_colors(ctx, w * n, rep) == n * h
-                                  for n in (6, 7, 8)):
+            for i, h in column.hits(seg_len, ctx.orbital_word(rep)):
+                w = column.words[i]
+                if all(eval_colors(ctx, w * n, rep) == n * h for n in (6, 7, 8)):
                     return (MedianQM(Segment(BASE, rep), BASE, ctx),
                             WordTranslation(Vertex(w), ctx.d), h)
     return None
@@ -409,17 +423,15 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
         for rep in segment_orbit_census(ctx, seg_len):
             key = ctx.orbital_word(rep)
             u = [column(j, seg_len)[key] for j in chosen_words]
-            for i in range(len(column.words)):
-                h = column(i, seg_len)[key]
-                if h:
-                    c = [column(i, n)[k] for n, k in chosen_keys]
-                    new_det, new_adj = border(det, adj, u, c, h)
-                    if new_adj is not None:
-                        chosen_qms.append(MedianQM(Segment(BASE, rep), BASE, ctx))
-                        chosen_keys.append((seg_len, key))
-                        chosen_words.append(i)
-                        det, adj = new_det, new_adj
-                        break
+            for i, h in column.hits(seg_len, key):
+                c = [column(i, n)[k] for n, k in chosen_keys]
+                new_det, new_adj = border(det, adj, u, c, h)
+                if new_adj is not None:
+                    chosen_qms.append(MedianQM(Segment(BASE, rep), BASE, ctx))
+                    chosen_keys.append((seg_len, key))
+                    chosen_words.append(i)
+                    det, adj = new_det, new_adj
+                    break
             if len(chosen_qms) >= target_rank:
                 els = [WordTranslation(Vertex(column.words[j]), ctx.d)
                        for j in chosen_words]

@@ -84,18 +84,22 @@ def reduced_words(d: int, length: int) -> Iterator[tuple[int, ...]]:
                 yield head + (k,)
 
 
-def _common_prefix_len(u: Vertex, v: Vertex) -> int:
-    n = 0
+def distance(u: Vertex, v: Vertex) -> int:
+    """len(u) + len(v) less twice the length of their common prefix."""
+    n = len(u) + len(v)
     for a, b in zip(u, v):
         if a != b:
             break
-        n += 1
+        n -= 2
     return n
 
 
-def distance(u: Vertex, v: Vertex) -> int:
-    c = _common_prefix_len(u, v)
-    return (len(u) - c) + (len(v) - c)
+def adjacent(u: Vertex, v: Vertex) -> bool:
+    """Whether u and v are the ends of one edge: the longer word is the
+    shorter one plus a letter (one slice compare, no loop in Python)."""
+    if len(u) < len(v):
+        u, v = v, u
+    return len(u) == len(v) + 1 and u[:-1] == v
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class EdgeRef:
 
 def edge_between(u: Vertex, v: Vertex) -> EdgeRef:
     """The edge joining two adjacent vertices."""
-    if distance(u, v) != 1:
+    if not adjacent(u, v):
         raise TreeLocalError(f"{u} and {v} are not adjacent")
     near, far = (u, v) if len(u) < len(v) else (v, u)
     return EdgeRef(near, far[-1])
@@ -162,7 +166,7 @@ class Segment:
 def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:
     """The step colors of the geodesic from u to v, lazily: up from u to
     the common prefix, then down to v.  Nothing is validated or built."""
-    c = _common_prefix_len(u, v)
+    c = (len(u) + len(v) - distance(u, v)) // 2
     return chain(reversed(u[c:]), v[c:])
 
 

@@ -234,3 +234,18 @@ def random_composite(rng: random.Random, d: int, depth: int):
     if kind == 1:
         return Inverse(random_composite(rng, d, depth - 1))
     return random_primitive(rng, d)
+
+
+def moved_set(g, window) -> list[Vertex]:
+    """The vertices of the window that g moves."""
+    return [v for v in window if g.apply(v) != v]
+
+
+def conjugate_support_shift_check(a, b, window) -> bool:
+    """The moved set of a^-1 b a on the window equals the a-preimage of the
+    moved set of b on the a-image of the window."""
+    conj = Compose(Inverse(a), Compose(b, a))
+    lhs = set(moved_set(conj, window))
+    a_inv = Inverse(a)
+    rhs = {a_inv.apply(v) for v in moved_set(b, [a.apply(w) for w in window])}
+    return lhs == rhs

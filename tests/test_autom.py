@@ -40,10 +40,8 @@ from treelocal.autom import (
     WordTranslation,
     certify_membership,
     classify,
-    conjugate_support_shift_check,
     equal_on_ball,
     eta,
-    moved_set,
     power,
 )
 from treelocal.analysis import validate_inputs
@@ -68,7 +66,13 @@ from treelocal.tree import (
     reduce_word,
 )
 
-from conftest import random_composite, random_reduced_word, valid_contexts
+from conftest import (
+    conjugate_support_shift_check,
+    moved_set,
+    random_composite,
+    random_reduced_word,
+    valid_contexts,
+)
 
 
 class TestBasicElements:
@@ -114,6 +118,15 @@ class TestBasicElements:
         # walking through the offending edge raises instead of guessing
         with pytest.raises(InconsistentPortrait):
             g.apply(Vertex((3, 1)))
+
+    def test_segment_portrait_refuses_nonadjacent_images(self):
+        # the images of the adjacent vertices e and 1 are two steps apart;
+        # the check that sigma carries the edge color from one image to the
+        # next refuses that
+        from treelocal.errors import InconsistentPortrait
+        with pytest.raises(InconsistentPortrait):
+            SegmentPortrait([BASE, Vertex((1,))], [BASE, Vertex((1, 2))],
+                            [Permutation.identity(3)] * 2, symmetric_group(3))
 
 
 class TestCompositionAlgebra:

@@ -25,6 +25,8 @@ from treelocal.localaction import build_line
 from treelocal.ratmat import rank
 from treelocal.tree import BASE, Vertex, ball, is_aligned, is_aligned_bruteforce
 
+from conftest import scan_transport_into_line, valid_contexts
+
 
 V = Vertex.parse
 
@@ -150,6 +152,27 @@ class TestRestriction:
         L, _, _ = build_line(ctxd4)
         with pytest.raises(HypothesisUnverified):
             restriction_correspondence_check(ctxd4, L, 2, 1)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_reports_match_scanned_transports(self, d, monkeypatch):
+        # transport_into_line reads its images off the walked line; the
+        # radius scan builds and walks each target segment
+        import treelocal.chains as chains
+        for ctx in valid_contexts(d):
+            if not ctx.two_transitive:
+                continue
+            L, _, _ = build_line(ctx)
+            reports = [restriction_correspondence_check(ctx, L, 3, 2, seed=seed)
+                       for seed in range(10)]
+            assert all(r["tuples_checked"] == r["consistent"] == 120
+                       and not r["failures"] for r in reports)
+            with monkeypatch.context() as m:
+                m.setattr(chains, "transport_into_line",
+                          lambda ctx, s, L, parity: scan_transport_into_line(
+                              ctx, s, L, parity)[1])
+                assert reports == [
+                    restriction_correspondence_check(ctx, L, 3, 2, seed=seed)
+                    for seed in range(10)]
 
     def test_deterministic_given_seed(self, ctx3):
         L, _, _ = build_line(ctx3)

@@ -1,18 +1,20 @@
 """Median quasimorphisms: evaluation, homogenization, independence."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treelocal.errors import SizeLimitExceeded
 from treelocal.autom import Compose, Inverse, WordTranslation, power
 from treelocal import medianqm, ratmat
+from treelocal.analysis import RunConfig
 from treelocal.medianqm import (
     MedianQM,
     cyclic_reduction,
     cyclically_reduced_words,
-    defect_sample,
     eval_colors,
     eval_qm,
     find_nonvanishing_qm,
@@ -24,7 +26,7 @@ from treelocal.medianqm import (
     nontriviality_witness,
     reduced_words,
 )
-from treelocal.medianqm import _axis_words, _search_words
+from treelocal.medianqm import _axis_words, _check_word_count
 from treelocal.tree import BASE, Segment, Vertex
 
 from conftest import (
@@ -39,6 +41,13 @@ from conftest import (
 
 def word_element(letters, d):
     return WordTranslation(Vertex(letters), d)
+
+
+def search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
+    """The cyclically reduced words of length 2..search_bound, once their
+    number is known to be within ENUMERATION_CAP."""
+    _check_word_count(d, search_bound)
+    return list(cyclically_reduced_words(d, search_bound))
 
 
 class TestEval:
@@ -160,12 +169,6 @@ class TestSearches:
         assert (homogenize(f, Compose(a, b))
                 != homogenize(f, a) + homogenize(f, b))
 
-    def test_defect_sample_lower_bound(self, ctxd4):
-        f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
-        a = word_element((1, 2, 1, 2, 4), 4)
-        b = word_element((2, 3), 4)
-        assert defect_sample(f, [(a, b)]) >= 0
-
 
 class TestIndependence:
     SEGMENTS = ((1, 2, 1, 3, 1), (1, 2, 1, 3, 1, 3), (1, 2, 4, 1, 2, 4))
@@ -204,16 +207,16 @@ class TestWordEnumeration:
         # words of length n with w_1 != w_n: (d-1)^n + (-1)^n (d-1)
         for d in (3, 4, 5):
             for n in range(2, 7):
-                assert len(_search_words(d, n)) - len(_search_words(d, n - 1)) \
+                assert len(search_words(d, n)) - len(search_words(d, n - 1)) \
                     == (d - 1) ** n + (-1) ** n * (d - 1)
-        assert len(_search_words(4, 8)) == 9840
+        assert len(search_words(4, 8)) == 9840
 
     def test_search_words_capped_before_enumeration(self, ctxd4):
         # d = 4: bound 10 gives 88,572 words, bound 11 gives 265,716
-        assert len(_search_words(4, 10)) == 88572
+        assert len(search_words(4, 10)) == 88572
         for bound in (11, 12, 20, 10 ** 9):
             with pytest.raises(SizeLimitExceeded):
-                _search_words(4, bound)
+                search_words(4, bound)
         with pytest.raises(SizeLimitExceeded):
             find_nonvanishing_qm(ctxd4, 2, 13)
         with pytest.raises(SizeLimitExceeded):
@@ -224,7 +227,7 @@ class TestAxisWords:
     def test_first_word_per_axis(self):
         # the oracle: dedupe the listed words by axis, keeping the first
         for d in (3, 4):
-            words = {b: _search_words(d, b) for b in range(2, 9)}
+            words = {b: search_words(d, b) for b in range(2, 9)}
             for ctx in valid_contexts(d):
                 for b, ws in words.items():
                     first = {}
@@ -394,6 +397,158 @@ class TestOneWordPerAxis:
         axes = {ctxd4.orbital_word(w + w[:1]) for w in words}
         assert len(axes) == len(words)
         first = {}
-        for w in _search_words(4, args[-1]):
+        for w in search_words(4, args[-1]):
             first.setdefault(ctxd4.orbital_word(w + w[:1]), w)
         assert words <= set(first.values())
+
+
+# The window counts as first written: tally every window with Counters
+# and read one key; the searches as first written: scan every axis word
+# lazily for every representative, on columns taken from those tallies.
+
+CONTEXTS = valid_contexts(3) + valid_contexts(4)
+NON_2T = [ctx for ctx in CONTEXTS if not ctx.two_transitive]
+DEFAULT = RunConfig()
+
+
+def counter_signed_count(ctx, word, pattern, start, stop):
+    ahead, back = medianqm._window_counts(ctx, word, len(pattern), start, stop)
+    key = ctx.orbital_word(pattern)
+    return ahead[key], back[key]
+
+
+def counter_column(ctx, w, n) -> Counter:
+    t = cyclic_reduction(w)
+    ell = len(t)
+    if ell <= 1:
+        return Counter()
+    ahead, back = medianqm._window_counts(ctx, t * (2 + n // ell), n, 0, ell)
+    ahead.subtract(back)
+    return ahead
+
+
+class LazyColumns:
+    """The columns of the axis words, built on first read and recorded."""
+
+    def __init__(self, ctx, bound):
+        self.ctx = ctx
+        self.words = _axis_words(ctx, bound)
+        self.columns = {}
+
+    def __call__(self, i, n):
+        if (i, n) not in self.columns:
+            self.columns[i, n] = counter_column(self.ctx, self.words[i], n)
+        return self.columns[i, n]
+
+
+def lazy_find_nonvanishing(ctx, max_seg, bound):
+    column = LazyColumns(ctx, bound)
+    for seg_len in range(1, max_seg + 1):
+        for rep in medianqm.segment_orbit_census(ctx, seg_len):
+            key = ctx.orbital_word(rep)
+            for i, w in enumerate(column.words):
+                h = column(i, seg_len)[key]
+                if h != 0 and all(eval_colors(ctx, w * n, rep) == n * h
+                                  for n in (6, 7, 8)):
+                    return (rep, w, h), column
+    return None, column
+
+
+def lazy_independence_search(ctx, target, max_seg, bound):
+    column = LazyColumns(ctx, bound)
+    reps, keys, chosen = [], [], []
+    det, adj = 1, []
+    for seg_len in range(1, max_seg + 1):
+        for rep in medianqm.segment_orbit_census(ctx, seg_len):
+            key = ctx.orbital_word(rep)
+            u = [column(j, seg_len)[key] for j in chosen]
+            for i in range(len(column.words)):
+                h = column(i, seg_len)[key]
+                if h:
+                    c = [column(i, n)[k] for n, k in keys]
+                    new_det, new_adj = ratmat.border(det, adj, u, c, h)
+                    if new_adj is not None:
+                        reps.append(rep)
+                        keys.append((seg_len, key))
+                        chosen.append(i)
+                        det, adj = new_det, new_adj
+                        break
+            if len(reps) >= target:
+                return (reps, [column.words[j] for j in chosen]), column
+    return None, column
+
+
+def recorded_columns(monkeypatch):
+    """The (word, length) of every column that axis_column builds."""
+    built = []
+    axis_column = medianqm.axis_column
+
+    def recording(ctx, w, n):
+        built.append((tuple(w), n))
+        return axis_column(ctx, w, n)
+
+    monkeypatch.setattr(medianqm, "axis_column", recording)
+    return built
+
+
+class TestOnePatternCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_signed_count_against_window_counters(self, data):
+        ctx = data.draw(st.sampled_from(CONTEXTS))
+        colors = st.integers(1, ctx.d)
+        word = data.draw(st.lists(colors, max_size=14))
+        pattern = data.draw(st.lists(colors, min_size=1, max_size=5))
+        start = data.draw(st.integers(0, 15))
+        stop = data.draw(st.integers(0, 16))
+        assert (medianqm._signed_count(ctx, word, pattern, start, stop)
+                == counter_signed_count(ctx, word, pattern, start, stop))
+
+    def test_one_color_columns_are_zero(self):
+        for ctx in CONTEXTS:
+            for w in _axis_words(ctx, 6):
+                assert not any(counter_column(ctx, w, 1).values())
+                assert medianqm.axis_column(ctx, w, 1) == Counter()
+
+    @pytest.mark.parametrize("max_seg, bound", [
+        pytest.param(3, 6, id="3-6"),
+        pytest.param(DEFAULT.qm_max_seg, DEFAULT.qm_search_bound, id="default")])
+    def test_find_nonvanishing_qm_as_lazy_scan(self, monkeypatch, max_seg, bound):
+        for ctx in NON_2T:
+            expected, lazy = lazy_find_nonvanishing(ctx, max_seg, bound)
+            built = recorded_columns(monkeypatch)
+            found = find_nonvanishing_qm(ctx, max_seg, bound)
+            monkeypatch.undo()
+            if expected is None:
+                assert found is None
+            else:
+                f, g, value = found
+                rep, w, h = expected
+                assert (f.s.colors, g.describe(), value) == (
+                    rep, word_element(w, ctx.d).describe(), h)
+            # the index is built from columns that the scan built
+            assert sorted(built) == sorted(
+                (lazy.words[i], n) for i, n in lazy.columns)
+
+    @pytest.mark.parametrize("target, max_seg, bound", [
+        pytest.param(2, 3, 6, id="2-3-6"),
+        pytest.param(DEFAULT.rank_target, DEFAULT.qm_rank_max_seg,
+                     DEFAULT.qm_search_bound, id="default")])
+    def test_independence_search_as_lazy_scan(self, monkeypatch, target,
+                                              max_seg, bound):
+        for ctx in NON_2T:
+            expected, lazy = lazy_independence_search(ctx, target, max_seg, bound)
+            built = recorded_columns(monkeypatch)
+            cert = independence_search(ctx, target, max_seg, bound)
+            monkeypatch.undo()
+            if expected is None:
+                assert cert is None
+            else:
+                reps, words = expected
+                assert [q.s.colors for q in cert.qms] == reps
+                assert [g.describe() for g in cert.elements] == [
+                    word_element(w, ctx.d).describe() for w in words]
+                assert cert == independence_certificate(ctx, cert.qms,
+                                                        cert.elements)
+            assert sorted(built) == sorted(
+                (lazy.words[i], n) for i, n in lazy.columns)

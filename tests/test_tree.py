@@ -13,6 +13,7 @@ from treelocal.tree import (
     LineSpec,
     Segment,
     Vertex,
+    adjacent,
     ball,
     ball_size,
     distance,
@@ -83,6 +84,17 @@ class TestDistance:
             distance(x, w) + distance(y, z),
         ])
         assert sums[1] == sums[2]
+
+    @given(word_strategy(4), word_strategy(4))
+    def test_distance_is_word_length(self, u, v):
+        # the length of u^-1 v in the free product of the Z/2 factors
+        assert distance(u, v) == len(reduce_word(tuple(reversed(u)) + tuple(v)))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_adjacent_is_distance_one(self, d):
+        points = list(ball(BASE, 3, d))
+        for u, v in itertools.product(points, repeat=2):
+            assert adjacent(u, v) == (distance(u, v) == 1)
 
     @given(word_strategy(4), word_strategy(4))
     def test_geodesic_realizes_distance(self, u, v):
