@@ -28,6 +28,7 @@ from .permgroups import (
     is_transitive,
     orbits,
     parse_cycles,
+    pick_tau,
     preserves_orbits,
 )
 from .tree import BASE, Segment, Vertex, distance
@@ -195,12 +196,12 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
         "pass": all(s == 1 for s in sizes),
     }
 
-    L, tau, cycle = build_line(ctx)
+    L = build_line(ctx)
     ev["line"] = {
         "anchor": str(L.anchor),
         "forward_period": list(L.forward.period),
         "backward_period": list(L.backward.period),
-        "tau": tau.cycle_string(),
+        "tau": pick_tau(ctx.F)[0].cycle_string(),
         "pass": True,
     }
 
@@ -220,7 +221,7 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
                  and set(cert.singular_in_radius) <= allowed),
     }
 
-    r = rotation_r(ctx, L, tau, cycle)
+    r = rotation_r(ctx, L)
     reflects = all(r.apply(L.vertex(i)) == L.vertex(-i)
                    for i in range(-cfg.window, cfg.window + 1))
     rcert = certify_membership(r, ctx.F, ctx.Fp, cfg.membership_radius)
@@ -231,7 +232,7 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
         "pass": reflects and rcert.exact and rcert.in_Uprime_in_radius,
     }
 
-    edge_trans = edge_transitivity_check(ctx, L, [t, r], cfg.window)
+    edge_trans = edge_transitivity_check(L, [t, r], cfg.window)
     ev["edge_transitivity"] = {"window": cfg.window, "pass": edge_trans}
 
     ok = 0
@@ -243,7 +244,7 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
             colors[0] = next(k for k in range(1, ctx.d + 1)
                              if k != start[-1] and (length < 2 or k != colors[1]))
         seg = Segment(start, tuple(colors))
-        g = transport_into_line(ctx, seg, L, parity="even")
+        g = transport_into_line(ctx, seg, L)
         on_line = all(L.index_of(g.apply(v)) is not None for v in seg.vertices())
         even = distance(seg.start, g.apply(seg.start)) % 2 == 0
         if on_line and even:
@@ -266,12 +267,6 @@ def _branch1_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
         "samples": cfg.sample_size,
         "zero": zero,
         "pass": zero == cfg.sample_size,
-    }
-
-    g_escape, radius = boundary_escape_witness(ctx.d)
-    ev["boundary_escape"] = {
-        "divergence_radius": radius,
-        "pass": radius <= 12,
     }
     return ev
 
@@ -296,9 +291,6 @@ def _branch2_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
             "bruteforce_translate": brute,
             "pass": not wit.translate and not brute,
         }
-
-    g_escape, radius = boundary_escape_witness(ctx.d)
-    ev["boundary_escape"] = {"divergence_radius": radius, "pass": radius <= 12}
 
     found = find_nonvanishing_qm(ctx, cfg.qm_max_seg, cfg.qm_search_bound)
     if found is None:
@@ -337,13 +329,8 @@ def _branch2_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
             "target": cfg.rank_target,
         }
     else:
-        ev["independence"] = {
-            "rank": cert.rank,
-            "matrix": [list(row) for row in cert.matrix],
-            "segments": [list(q.s.colors) for q in cert.qms],
-            "elements": [g.describe() for g in cert.elements],
-            "pass": cert.rank >= cfg.rank_target,
-        }
+        ev["independence"] = {**cert.to_dict(),
+                              "pass": cert.rank >= cfg.rank_target}
     return ev
 
 
@@ -358,6 +345,9 @@ def theorem1_branch(ctx: GroupContext, cfg: Optional[RunConfig] = None) -> Branc
     else:
         branch = "InfiniteH2"
         evidence = _branch2_evidence(ctx, cfg)
+    _, radius = boundary_escape_witness(ctx.d)
+    evidence["boundary_escape"] = {"divergence_radius": radius,
+                                   "pass": radius <= 12}
     complete = all(item.get("pass", False) for item in evidence.values())
     return BranchReport(
         branch=branch,

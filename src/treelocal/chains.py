@@ -35,7 +35,6 @@ from .autom import Compose, power
 from .ratmat import rank
 from .tree import (
     BASE,
-    LineSpec,
     Segment,
     Vertex,
     ball,
@@ -198,11 +197,11 @@ def aligned_closure_check(w: ComplexWindow, n: int) -> bool:
     return True
 
 
-def random_chain(w: ComplexWindow, n: int, rng: random.Random,
-                 terms: int = 5) -> AlternatingChain:
+def random_chain(w: ComplexWindow, n: int, rng: random.Random) -> AlternatingChain:
+    """A degree-n chain of up to 5 random terms of the window's basis."""
     basis = w.basis(n)
     raw = []
-    for _ in range(min(terms, len(basis))):
+    for _ in range(min(5, len(basis))):
         tup = list(rng.choice(basis))
         rng.shuffle(tup)
         raw.append((tuple(tup), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
@@ -251,12 +250,12 @@ def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
     return [(tuple(points[j] for j in key), span) for key, span in drawn]
 
 
-def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
-                                     window_radius: int, n: int,
-                                     sample_cap: int = 120,
+def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
+                                     n: int, sample_cap: int = 120,
                                      seed: int = 0) -> dict:
     """Constructive check, on aligned (n+1)-tuples within a ball, of the
-    correspondence between aligned tuples and tuples on the line L:
+    correspondence between aligned tuples and tuples on the line L of
+    build_line:
 
     - every aligned tuple is carried into L by a transport of its
       spanning segment (with even displacement);
@@ -286,10 +285,10 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
         raise SizeLimitExceeded(
             f"up to {bound} aligned tuples of {n + 1} points in a ball of "
             f"radius {window_radius} exceed ENUMERATION_CAP {ENUMERATION_CAP}")
-    _, tau, cycle = build_line(ctx)
+    L = build_line(ctx)
     t = translation_t(ctx, L)
-    r = rotation_r(ctx, L, tau, cycle)
-    if not edge_transitivity_check(ctx, L, [t, r], max(4, window_radius)):
+    r = rotation_r(ctx, L)
+    if not edge_transitivity_check(L, [t, r], max(4, window_radius)):
         raise HypothesisUnverified("line stabilizer not edge-transitive on window")
 
     sample = _aligned_sample(points, n + 1, sample_cap, random.Random(seed))
@@ -297,7 +296,7 @@ def restriction_correspondence_check(ctx: GroupContext, L: LineSpec,
     consistent = 0
     failures: list[str] = []
     for tup, span in sample:
-        g = transport_into_line(ctx, span, L, parity="even")
+        g = transport_into_line(ctx, span, L)
         images = [g.apply(v) for v in tup]
         idx = [L.index_of(x) for x in images]
         if any(i is None for i in idx):

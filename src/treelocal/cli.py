@@ -12,6 +12,7 @@ default run-configuration fields; --config overrides it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -28,7 +29,6 @@ from .autom import (
     classify,
     eta,
 )
-from .localaction import build_line
 from .medianqm import (
     MedianQM,
     eval_qm,
@@ -75,8 +75,6 @@ def _flatten(obj, prefix: str = "") -> list[str]:
         for k in sorted(obj):
             out.extend(_flatten(obj[k], f"{prefix}{k}."))
         return out
-    if isinstance(obj, list):
-        return [f"{prefix[:-1]} = {json.dumps(obj)}"]
     return [f"{prefix[:-1]} = {json.dumps(obj)}"]
 
 
@@ -88,10 +86,21 @@ def _emit(obj, fmt: str) -> None:
 
 
 def _run_config(args) -> RunConfig:
+    """The RunConfig of --config (or the CONFIG_ENV file) and --seed.  The
+    file must hold a JSON object of RunConfig fields with int values."""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     data = {}
     if path:
         data = _load_json_file(path)
+        if not isinstance(data, dict):
+            raise TreeLocalError(f"config {path} is not a JSON object")
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        for key, value in data.items():
+            if key not in names:
+                raise TreeLocalError(f"config key {key!r} is not a RunConfig field")
+            if type(value) is not int:
+                raise TreeLocalError(f"config key {key!r} needs an int, "
+                                     f"not {json.dumps(value)}")
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     return RunConfig(**data)
@@ -144,8 +153,7 @@ def cmd_branch(args) -> int:
             return EXIT_INVALID
         cfg = _run_config(args)
         branch = theorem1_branch(ctx, cfg)
-    except (TreeLocalError, OSError, json.JSONDecodeError, TypeError,
-            ValueError) as exc:
+    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(str(exc))
     out = branch.to_dict()
     if args.evidence == "summary":
@@ -196,12 +204,7 @@ def cmd_qm(args) -> int:
                 _emit({"rank": 0, "target": args.rank,
                        "detail": "search exhausted"}, args.format)
                 return EXIT_INCOMPLETE
-            _emit({
-                "rank": cert.rank,
-                "matrix": [list(row) for row in cert.matrix],
-                "segments": [list(q.s.colors) for q in cert.qms],
-                "elements": [g.describe() for g in cert.elements],
-            }, args.format)
+            _emit(cert.to_dict(), args.format)
             return EXIT_OK
         s = decode_segment(json.loads(args.segment))
         base = Vertex.parse(args.base)
@@ -227,9 +230,8 @@ def cmd_chains(args) -> int:
     try:
         if args.chains_cmd == "restriction":
             ctx = context_from_spec(_load_json_file(args.spec))
-            L, tau, cycle = build_line(ctx)
-            report = restriction_correspondence_check(
-                ctx, L, args.radius, args.degree)
+            report = restriction_correspondence_check(ctx, args.radius,
+                                                      args.degree)
             _emit(report, args.format)
             return EXIT_OK if not report["failures"] else EXIT_INCOMPLETE
         points = tuple(Vertex.parse(p) for p in args.points.split(","))
@@ -282,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = group_sub.add_parser("validate")
     p_validate.add_argument("spec", help="group-spec JSON file")
     p_validate.add_argument("--relaxed-orbits", action="store_true")
-    p_validate.set_defaults(func=cmd_group_validate)
 
     p_branch = sub.add_parser("branch", help="run the dichotomy pipeline")
     p_branch.add_argument("spec")
@@ -290,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_branch.add_argument("--seed", type=int, default=None)
     p_branch.add_argument("--evidence", choices=["full", "summary"],
                           default="full")
-    p_branch.set_defaults(func=cmd_branch)
 
     p_el = sub.add_parser("element", help="build and inspect automorphisms")
     el_sub = p_el.add_subparsers(dest="element_cmd", required=True)
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--vertex", required=True)
         if name == "certify":
             p.add_argument("--radius", type=int, default=6)
-        p.set_defaults(func=cmd_element)
 
     p_qm = sub.add_parser("qm", help="median quasimorphisms")
     qm_sub = p_qm.add_subparsers(dest="qm_cmd", required=True)
@@ -319,13 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--element-file", default=None)
         if name == "homogenize":
             p.add_argument("--limit", type=int, default=0)
-        p.set_defaults(func=cmd_qm)
     p_ind = qm_sub.add_parser("independence")
     p_ind.add_argument("--spec", required=True)
     p_ind.add_argument("--rank", type=int, default=3)
     p_ind.add_argument("--max-seg", type=int, default=5)
     p_ind.add_argument("--bound", type=int, default=8)
-    p_ind.set_defaults(func=cmd_qm)
 
     p_ch = sub.add_parser("chains", help="finite chain-complex checks")
     ch_sub = p_ch.add_subparsers(dest="chains_cmd", required=True)
@@ -336,12 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=3)
         if name == "aligned":
             p.add_argument("--degree", type=int, default=2)
-        p.set_defaults(func=cmd_chains)
     p_restr = ch_sub.add_parser("restriction")
     p_restr.add_argument("--spec", required=True)
     p_restr.add_argument("--radius", type=int, default=3)
     p_restr.add_argument("--degree", type=int, default=2)
-    p_restr.set_defaults(func=cmd_chains)
 
     p_tree = sub.add_parser("tree", help="tree exports")
     tree_sub = p_tree.add_subparsers(dest="tree_cmd", required=True)
@@ -350,24 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=3)
         p.add_argument("--radius", type=int, default=2)
         p.add_argument("--center", default="e")
-        p.set_defaults(func=cmd_tree)
 
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(handlers: tuple) -> argparse.ArgumentParser:
-    """build_parser, once per process.  Keyed by the cmd_* handlers that
-    main sees when called, so a handler replaced after the first call (by
-    a wrapper or a test double) gets a parser that binds it."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process."""
     return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    handlers = (cmd_group_validate, cmd_branch, cmd_element, cmd_qm,
-                cmd_chains, cmd_tree)
-    args = _parser(handlers).parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up when main runs, so a handler replaced after the first call
+    # (by a wrapper or a test double) is the one called
+    handlers = {"group": cmd_group_validate, "branch": cmd_branch,
+                "element": cmd_element, "qm": cmd_qm, "chains": cmd_chains,
+                "tree": cmd_tree}
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

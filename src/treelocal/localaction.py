@@ -240,23 +240,20 @@ def _transport(ctx: GroupContext, s: Segment, colors: Sequence[int],
     return _extend(ctx, s.vertices(), images, sigmas)
 
 
-def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
-                        parity: str = "even") -> Automorphism:
-    """Send s onto the line L at indices j..j+n: j = 0, or j = 1 when the
-    parity is "even" and d(s.start, v_0) is odd, so that the start vertex
-    moves an even distance (v_0 and v_1 are adjacent).
+def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec) -> Automorphism:
+    """Send s onto the line L at indices j..j+n: j = 0, or j = 1 when
+    d(s.start, v_0) is odd, so that the start vertex moves an even
+    distance (v_0 and v_1 are adjacent).
 
     Lemma: if F' is 2-transitive, every slot is solvable.  Segment and
     line colors never backtrack, so each slot asks F' to map one pair of
     distinct points to another pair of distinct points (or, at an end,
-    one point to another).  The first index of the right parity is
+    one point to another).  The first index of even displacement is
     therefore always taken.  The images v_j..v_{j+n} are read off L.
     """
-    if parity not in ("even", "any"):
-        raise TreeLocalError(f"parity must be 'even' or 'any', not {parity!r}")
     if not ctx.two_transitive:
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")
-    j = 1 if parity == "even" and distance(s.start, L.vertex(0)) % 2 else 0
+    j = distance(s.start, L.vertex(0)) % 2
     steps = range(j + 1, j + s.length + 1)
     return _transport(ctx, s, [L.edge_color(i) for i in steps],
                       [L.vertex(j)] + [L.vertex(i) for i in steps])
@@ -265,8 +262,7 @@ def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec,
 # --- the line, its translation and rotation ---
 
 
-def build_line(ctx: GroupContext,
-               anchor: Vertex = BASE) -> tuple[LineSpec, Permutation, tuple[int, ...]]:
+def build_line(ctx: GroupContext) -> LineSpec:
     """The periodic colored line determined by the canonical choice of a
     nontrivial permutation tau in F with longest cycle (n_1 ... n_k).
 
@@ -275,7 +271,7 @@ def build_line(ctx: GroupContext,
     the backward side alternates n_1, n_2 starting with n_1 and the
     forward side alternates n_2, n_3 starting with n_2.
     """
-    tau, cycle = pick_tau(ctx.F)
+    _, cycle = pick_tau(ctx.F)
     if len(cycle) == 2:
         n1, n2 = cycle[0], cycle[1]
         forward = EventuallyPeriodic((), (n2, n1))
@@ -284,7 +280,7 @@ def build_line(ctx: GroupContext,
         n1, n2, n3 = cycle[0], cycle[1], cycle[2]
         forward = EventuallyPeriodic((), (n2, n3))
         backward = EventuallyPeriodic((), (n1, n2))
-    return LineSpec(anchor, forward, backward), tau, cycle
+    return LineSpec(BASE, forward, backward)
 
 
 def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
@@ -302,12 +298,13 @@ def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
     return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F)
 
 
-def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
-               cycle: tuple[int, ...]) -> Automorphism:
+def rotation_r(ctx: GroupContext, L: LineSpec) -> Automorphism:
     """The rotation v_i -> v_{-i} fixing v_0.  At v_0 the local
     permutation swaps the two line colors (an F' slot); along the rest of
-    the line the solver prefers powers of tau and otherwise takes the
-    least compatible element of F, falling back to F'."""
+    the line the solver prefers powers of the tau of build_line and
+    otherwise takes the least compatible element of F, falling back to
+    F'."""
+    tau, _ = pick_tau(ctx.F)
 
     @functools.cache
     def sigma_at(i: int) -> Permutation:
@@ -319,8 +316,7 @@ def rotation_r(ctx: GroupContext, L: LineSpec, tau: Permutation,
     return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order)
 
 
-def edge_transitivity_check(ctx: GroupContext, L: LineSpec,
-                            generators: Sequence[Automorphism],
+def edge_transitivity_check(L: LineSpec, generators: Sequence[Automorphism],
                             window: int) -> bool:
     """Whether words of length <= window in the generators act transitively
     on the geometric edges of L with indices in [-window, window].
@@ -368,19 +364,17 @@ def edge_transitivity_check(ctx: GroupContext, L: LineSpec,
 # --- witnesses for the non-2-transitive branch ---
 
 
-def boundary_escape_witness(d: int, prefix_length: int = 6) -> tuple[Automorphism, int]:
+def boundary_escape_witness(d: int) -> tuple[Automorphism, int]:
     """A color-preserving element g moving a ray off itself.
 
-    The ray gamma repeats the color pattern (1, 2), so the vertices
-    gamma(1) and gamma(3) see identical colorings; g is the word
+    The ray gamma repeats the color pattern (1, 2) three times, so the
+    vertices gamma(1) and gamma(3) see identical colorings; g is the word
     translation taking gamma(1) to a vertex w hanging off gamma(3), and
     the returned radius bounds where the divergence is visible.
     """
     if d < 3:
         raise TreeLocalError(f"degree {d} < 3")
-    if prefix_length < 4:
-        raise TreeLocalError("prefix must have length at least 4")
-    colors = tuple((1, 2)[i % 2] for i in range(prefix_length))
+    colors = (1, 2) * 3
     gamma = Segment(BASE, colors)
     ray = gamma.vertices()
     v1, v2 = ray[1], ray[3]
@@ -437,8 +431,7 @@ def e2_obstruction(ctx: GroupContext) -> Optional[ObstructionWitness]:
                          "transitive is 2-transitive")
 
 
-def segment_orbit_census(ctx: GroupContext, n: int,
-                         cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def segment_orbit_census(ctx: GroupContext, n: int) -> list[tuple[int, ...]]:
     """Representatives of length-n color sequences up to oriented
     F'-matchability (equivalently, up to the G(F,F') action on oriented
     segments with matched starts): the lexicographically first sequence
@@ -447,8 +440,8 @@ def segment_orbit_census(ctx: GroupContext, n: int,
     if n < 1:
         raise TreeLocalError("census needs n >= 1")
     total = ctx.d * (ctx.d - 1) ** (n - 1)
-    if total > cap:
-        raise SizeLimitExceeded(f"{total} sequences exceed cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise SizeLimitExceeded(f"{total} sequences exceed cap {ENUMERATION_CAP}")
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for seq in reduced_words(ctx.d, n):
         reps.setdefault(ctx.orbital_word(seq), seq)

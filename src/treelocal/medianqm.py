@@ -386,8 +386,16 @@ class IndependenceCertificate:
     matrix: tuple[tuple[int, ...], ...]
     rank: int
 
+    def to_dict(self) -> dict:
+        return {
+            "rank": self.rank,
+            "matrix": [list(row) for row in self.matrix],
+            "segments": [list(q.s.colors) for q in self.qms],
+            "elements": [g.describe() for g in self.elements],
+        }
 
-def independence_certificate(ctx: GroupContext, qms: Sequence[MedianQM],
+
+def independence_certificate(qms: Sequence[MedianQM],
                              elements: Sequence[Automorphism]) -> IndependenceCertificate:
     """Matrix of homogenized values and its exact rank: a lower
     bound on the number of linearly independent homogeneous
@@ -435,7 +443,7 @@ def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
             if len(chosen_qms) >= target_rank:
                 els = [WordTranslation(Vertex(column.words[j]), ctx.d)
                        for j in chosen_words]
-                cert = independence_certificate(ctx, chosen_qms, els)
+                cert = independence_certificate(chosen_qms, els)
                 if cert.rank >= target_rank:
                     return cert
     return None

@@ -19,10 +19,11 @@ from .errors import (
     OutOfRange,
     RepeatedEntry,
     SizeLimitExceeded,
+    TreeLocalError,
     TrivialGroup,
 )
 
-#: Default cap on materialized group order (10!).
+#: Cap on materialized group order (10!).
 DEFAULT_ORDER_CAP = 3628800
 
 
@@ -192,8 +193,7 @@ class PermGroup:
         return self.is_subgroup_of(other) and self.order < other.order
 
 
-def generate(generators: Sequence[Permutation], d: int,
-             cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def generate(generators: Sequence[Permutation], d: int) -> PermGroup:
     """Materialize the subgroup generated by ``generators`` inside Sym(d)."""
     gens = tuple(generators)
     for g in gens:
@@ -208,8 +208,9 @@ def generate(generators: Sequence[Permutation], d: int,
             for g in gens:
                 b = g.after(a)
                 if b not in elements:
-                    if len(elements) >= cap:
-                        raise SizeLimitExceeded(f"group order would exceed {cap}")
+                    if len(elements) >= DEFAULT_ORDER_CAP:
+                        raise SizeLimitExceeded(
+                            f"group order would exceed {DEFAULT_ORDER_CAP}")
                     elements.add(b)
                     fresh.append(b)
         frontier = fresh
@@ -220,11 +221,11 @@ def trivial_group(d: int) -> PermGroup:
     return generate([], d)
 
 
-def symmetric_group(d: int, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def symmetric_group(d: int) -> PermGroup:
     gens = [parse_cycles("(" + " ".join(map(str, range(1, d + 1))) + ")", d)]
     if d >= 2:
         gens.append(parse_cycles("(1 2)", d))
-    return generate(gens, d, cap)
+    return generate(gens, d)
 
 
 def orbits(G: PermGroup) -> list[tuple[int, ...]]:
@@ -345,22 +346,26 @@ def pick_tau(F: PermGroup) -> tuple[Permutation, tuple[int, ...]]:
     raise TrivialGroup("pick_tau needs a nontrivial group")
 
 
-def all_subgroups(d: int, max_generators: int = 2,
-                  cap: int = DEFAULT_ORDER_CAP) -> list[PermGroup]:
-    """Every subgroup of Sym(d), for small d.
+def all_subgroups(d: int) -> list[PermGroup]:
+    """Every subgroup of Sym(d), for d <= 5.
 
-    Closes over all generator tuples of size <= max_generators; two
-    generators suffice for d <= 5 since every subgroup of Sym(5) is
-    2-generated.  Result sorted by (order, element list).
+    Closes over all generator tuples of size <= 2, which suffice since
+    every subgroup of Sym(5) is 2-generated; Sym(6) is refused, as
+    (Z/2)^3 = <(1 2), (3 4), (5 6)> needs three.  Result sorted by
+    (order, element list).
     """
-    sym = symmetric_group(d, cap)
+    if d > 5:
+        raise TreeLocalError(
+            f"all_subgroups needs d <= 5, not {d}: a subgroup of Sym({d}) "
+            "may need more than 2 generators")
+    sym = symmetric_group(d)
     seen: dict[frozenset, PermGroup] = {}
     triv = trivial_group(d)
     seen[frozenset(triv.elements)] = triv
     pool = list(sym.elements)
-    for r in range(1, max_generators + 1):
+    for r in (1, 2):
         for gens in itertools.combinations(pool, r):
-            G = generate(gens, d, cap)
+            G = generate(gens, d)
             key = frozenset(G.elements)
             if key not in seen:
                 seen[key] = G

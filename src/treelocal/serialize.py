@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import TreeLocalError
-from .permgroups import generate, parse_cycles, pick_tau
+from .permgroups import generate, parse_cycles
 from .tree import EventuallyPeriodic, LineSpec, Segment, Vertex
 from .autom import (
     Automorphism,
@@ -153,14 +153,13 @@ def decode_element(obj: dict, d: int,
             ctx = context_from_spec(_field(obj, "spec", what, dict))
         if "line" in obj:
             L = decode_line(_field(obj, "line", what))
-            tau, cycle = pick_tau(ctx.F)
         else:
-            L, tau, cycle = build_line(ctx)
+            L = build_line(ctx)
         kind = obj.get("kind", "t")
         if kind == "t":
             return translation_t(ctx, L)
         if kind == "r":
-            return rotation_r(ctx, L, tau, cycle)
+            return rotation_r(ctx, L)
         raise TreeLocalError(f"unknown line element kind {kind!r}")
     raise TreeLocalError(f"unknown element op {op!r}")
 

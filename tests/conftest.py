@@ -105,17 +105,16 @@ def pairwise_census(match: SlotwiseMatcher, n: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def scan_transport_into_line(ctx: GroupContext, s: Segment, L,
-                             parity: str = "even"):
+def scan_transport_into_line(ctx: GroupContext, s: Segment, L):
     """The radius scan that transport_into_line replaced, an oracle for
     it: try the anchor indices 0, 1, -1, 2, -2, ... up to radius 63 and
-    take the first of the right parity whose slots all solve (least
+    take the first of even displacement whose slots all solve (least
     element of F, else of F', per slot).  Returns (index, element), or
     None when the scan finds nothing."""
     n = s.length
     for radius in range(0, 64):
         for j in ([0] if radius == 0 else [radius, -radius]):
-            if parity == "even" and distance(s.start, L.vertex(j)) % 2 != 0:
+            if distance(s.start, L.vertex(j)) % 2 != 0:
                 continue
             target = Segment(L.vertex(j),
                              tuple(L.edge_color(j + i) for i in range(1, n + 1)))

@@ -408,8 +408,8 @@ class TestProjectionLemma:
     of its vertices; checked against a scan for the projection."""
 
     def line_portraits(self, ctx):
-        L, tau, cycle = build_line(ctx)
-        return [translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)]
+        L = build_line(ctx)
+        return [translation_t(ctx, L), rotation_r(ctx, L)]
 
     def check(self, g, on_skeleton, targets, d):
         off = 0
@@ -451,7 +451,7 @@ class TestDeepFill:
     def test_far_vertex_evaluates_cold(self, ctx3):
         # e projects onto the line at v_0 = e, so the prefixes of v lead from
         # the line out to v; filling them in order never goes deeper than a step
-        L, _, _ = build_line(ctx3)
+        L = build_line(ctx3)
         v = Vertex((3, 1) * 300)
         cold, warm = translation_t(ctx3, L), translation_t(ctx3, L)
         for n in range(len(v) + 1):
@@ -466,9 +466,9 @@ class TestBallLocals:
     @pytest.mark.parametrize("d", [3, 4])
     def test_line_portraits(self, d):
         for ctx in valid_contexts(d):
-            L, tau, cycle = build_line(ctx)
+            L = build_line(ctx)
             for make in (lambda: translation_t(ctx, L),
-                         lambda: rotation_r(ctx, L, tau, cycle)):
+                         lambda: rotation_r(ctx, L)):
                 g, fresh = make(), make()
                 assert list(g.ball_locals(6)) == [
                     (v, fresh.local(v)) for v in ball(BASE, 6, d)]
@@ -485,7 +485,7 @@ class TestBallLocals:
             (v, fresh.local(v)) for v in ball(BASE, 6, 4)]
 
     def test_default_for_other_expressions(self, ctx4):
-        L, _, _ = build_line(ctx4)
+        L = build_line(ctx4)
         t = translation_t(ctx4, L)
         g = Compose(t, WordTranslation(Vertex((1, 2)), 4))
         assert list(g.ball_locals(3)) == [(v, g.local(v)) for v in ball(BASE, 3, 4)]
@@ -510,7 +510,7 @@ class TestPortraitCost:
             return steps(self, v, memo)
 
         monkeypatch.setattr(FilledPortrait, "_steps", counting)
-        L, _, _ = build_line(ctx4)
+        L = build_line(ctx4)
         t = translation_t(ctx4, L)
         certify_membership(t, ctx4.F, ctx4.Fp, 8)
         assert calls == 0
@@ -526,7 +526,7 @@ class TestPortraitCost:
             return index_of(self, v)
 
         monkeypatch.setattr(LineSpec, "index_of", counting)
-        L, _, _ = build_line(ctx4)
+        L = build_line(ctx4)
         t = translation_t(ctx4, L)
         certify_membership(t, ctx4.F, ctx4.Fp, 8)
         assert calls <= ball_size(8, 4) == 13121
@@ -535,8 +535,8 @@ class TestPortraitCost:
         # a fresh context, since the solve memos of its groups outlive the
         # portraits
         _, ctx = validate_inputs(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 2)"])
-        L, tau, cycle = build_line(ctx)
-        gs = translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)
+        L = build_line(ctx)
+        gs = translation_t(ctx, L), rotation_r(ctx, L)
         calls = 0
 
         def counting(G, constraints):
@@ -595,8 +595,8 @@ class TestFillSolve:
         gc.disable()
         try:
             _, ctx = validate_inputs(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 2)"])
-            L, tau, cycle = build_line(ctx)
-            gs = [translation_t(ctx, L), rotation_r(ctx, L, tau, cycle),
+            L = build_line(ctx)
+            gs = [translation_t(ctx, L), rotation_r(ctx, L),
                   segment_transport(ctx, Segment(BASE, (1, 2)),
                                     Segment(BASE, (2, 3)))]
             for g in gs:
@@ -641,10 +641,10 @@ class TestLinePeriodCap:
             translation_t(ctx4, coprime_period_line())
 
     def test_cap_is_inclusive(self, ctx4, monkeypatch):
-        L, tau, cycle = build_line(ctx4)
-        P = rotation_r(ctx4, L, tau, cycle).period
+        L = build_line(ctx4)
+        P = rotation_r(ctx4, L).period
         monkeypatch.setattr(autom, "LINE_PERIOD_CAP", P)
-        rotation_r(ctx4, L, tau, cycle)
+        rotation_r(ctx4, L)
         monkeypatch.setattr(autom, "LINE_PERIOD_CAP", P - 1)
         with pytest.raises(SizeLimitExceeded):
-            rotation_r(ctx4, L, tau, cycle)
+            rotation_r(ctx4, L)

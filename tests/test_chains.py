@@ -21,7 +21,6 @@ from treelocal.chains import (
     random_chain,
     restriction_correspondence_check,
 )
-from treelocal.localaction import build_line
 from treelocal.ratmat import rank
 from treelocal.tree import BASE, Vertex, ball, is_aligned, is_aligned_bruteforce
 
@@ -125,8 +124,7 @@ class TestAligned:
 
 class TestRestriction:
     def test_correspondence_on_small_ball(self, ctx3):
-        L, _, _ = build_line(ctx3)
-        report = restriction_correspondence_check(ctx3, L, 2, 1,
+        report = restriction_correspondence_check(ctx3, 2, 1,
                                                   sample_cap=60, seed=0)
         assert report["tuples_checked"] > 0
         assert report["transported"] == report["tuples_checked"]
@@ -142,16 +140,14 @@ class TestRestriction:
                 assert count <= aligned_count_bound(len(points), R, n)
 
     def test_window_over_cap_refused(self, ctx4):
-        L, _, _ = build_line(ctx4)
         # the survey's radius-3 windows stay far below the cap
         assert aligned_count_bound(len(list(ball(BASE, 3, 4))), 3, 2) == 6890
         with pytest.raises(SizeLimitExceeded, match="ENUMERATION_CAP"):
-            restriction_correspondence_check(ctx4, L, 5, 2)
+            restriction_correspondence_check(ctx4, 5, 2)
 
     def test_requires_2transitive(self, ctxd4):
-        L, _, _ = build_line(ctxd4)
         with pytest.raises(HypothesisUnverified):
-            restriction_correspondence_check(ctxd4, L, 2, 1)
+            restriction_correspondence_check(ctxd4, 2, 1)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_reports_match_scanned_transports(self, d, monkeypatch):
@@ -161,24 +157,22 @@ class TestRestriction:
         for ctx in valid_contexts(d):
             if not ctx.two_transitive:
                 continue
-            L, _, _ = build_line(ctx)
-            reports = [restriction_correspondence_check(ctx, L, 3, 2, seed=seed)
+            reports = [restriction_correspondence_check(ctx, 3, 2, seed=seed)
                        for seed in range(10)]
             assert all(r["tuples_checked"] == r["consistent"] == 120
                        and not r["failures"] for r in reports)
             with monkeypatch.context() as m:
                 m.setattr(chains, "transport_into_line",
-                          lambda ctx, s, L, parity: scan_transport_into_line(
-                              ctx, s, L, parity)[1])
+                          lambda ctx, s, L: scan_transport_into_line(
+                              ctx, s, L)[1])
                 assert reports == [
-                    restriction_correspondence_check(ctx, L, 3, 2, seed=seed)
+                    restriction_correspondence_check(ctx, 3, 2, seed=seed)
                     for seed in range(10)]
 
     def test_deterministic_given_seed(self, ctx3):
-        L, _, _ = build_line(ctx3)
-        r1 = restriction_correspondence_check(ctx3, L, 2, 2,
+        r1 = restriction_correspondence_check(ctx3, 2, 2,
                                               sample_cap=40, seed=5)
-        r2 = restriction_correspondence_check(ctx3, L, 2, 2,
+        r2 = restriction_correspondence_check(ctx3, 2, 2,
                                               sample_cap=40, seed=5)
         assert r1 == r2
 
@@ -243,7 +237,6 @@ class TestAlignedSample:
         calls = []
         monkeypatch.setattr(chains, "aligned_tuples",
                             lambda *a: calls.append(a) or aligned_tuples(*a))
-        L, _, _ = build_line(ctx4)
-        report = restriction_correspondence_check(ctx4, L, 3, 2)
+        report = restriction_correspondence_check(ctx4, 3, 2)
         assert report["tuples_checked"] == report["consistent"] == 120
         assert calls == []

@@ -387,6 +387,24 @@ class TestBranchCommand:
         assert code == EXIT_INCOMPLETE
         assert json.loads(out)["complete"] is False
 
+    @pytest.mark.parametrize("spec, config, named", [
+        ("specd4", {"census_n": "4"}, "census_n"),
+        ("spec3", {"census_n": "4"}, "census_n"),
+        ("spec3", {"census_n": True}, "census_n"),
+        ("spec3", {"bogus": 1}, "bogus"),
+        ("spec3", [1], "JSON object"),
+    ])
+    def test_malformed_config_refused(self, capsys, request, tmp_path, spec,
+                                      config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "branch", request.getfixturevalue(spec),
+                             "--config", str(cfg))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_config_env_variable(self, capsys, spec3, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sample_size": 5, "transport_samples": 2}))

@@ -13,7 +13,7 @@ from treelocal.errors import (
     OutOfRange,
     TreeLocalError,
 )
-from treelocal.permgroups import is_2transitive_direct, trivial_group
+from treelocal.permgroups import is_2transitive_direct, pick_tau, trivial_group
 from treelocal.autom import (
     Identity,
     Loxodromic,
@@ -198,7 +198,7 @@ class TestTransport:
         assert res is None
 
     def test_transport_into_line_even_parity(self, ctx3):
-        L, _, _ = build_line(ctx3)
+        L = build_line(ctx3)
         rng = random.Random(2)
         for _ in range(15):
             start = random_reduced_word(rng, 3, rng.randint(0, 3))
@@ -208,7 +208,7 @@ class TestTransport:
                                  if k != start[-1]
                                  and (len(colors) < 2 or k != colors[1]))
             s = Segment(start, tuple(colors))
-            g = transport_into_line(ctx3, s, L, parity="even")
+            g = transport_into_line(ctx3, s, L)
             assert all(L.index_of(g.apply(v)) is not None
                        for v in s.vertices())
             assert distance(s.start, g.apply(s.start)) % 2 == 0
@@ -219,7 +219,7 @@ class TestTransport:
         for ctx in valid_contexts(d):
             if not is_2transitive_direct(ctx.Fp):
                 continue
-            L, _, _ = build_line(ctx)
+            L = build_line(ctx)
             segments = [Segment(start, colors)
                         for start in (BASE, Vertex((1,)), Vertex((2, 1)))
                         for n in range(3) for colors in color_sequences(d, n)]
@@ -227,17 +227,16 @@ class TestTransport:
                                  tuple(random_reduced_word(rng, d, rng.randint(3, 5))))
                          for _ in range(6)]
             for s in segments:
-                for parity in ("even", "any"):
-                    g = transport_into_line(ctx, s, L, parity)
-                    j, oracle = scan_transport_into_line(ctx, s, L, parity)
-                    assert j in (0, 1)
-                    assert g.apply(s.start) == L.vertex(j)
-                    assert equal_on_ball(g, oracle, 3)
-                    assert all(g.local(v) == oracle.local(v)
-                               for v in ball(BASE, 3, d))
+                g = transport_into_line(ctx, s, L)
+                j, oracle = scan_transport_into_line(ctx, s, L)
+                assert j in (0, 1)
+                assert g.apply(s.start) == L.vertex(j)
+                assert equal_on_ball(g, oracle, 3)
+                assert all(g.local(v) == oracle.local(v)
+                           for v in ball(BASE, 3, d))
 
     def test_transport_into_line_needs_2transitivity(self, ctxd4):
-        L, _, _ = build_line(ctxd4)
+        L = build_line(ctxd4)
         with pytest.raises(NotTwoTransitive):
             transport_into_line(ctxd4, Segment(BASE, (1,)), L)
 
@@ -249,14 +248,14 @@ class TestTransport:
 
 class TestLine:
     def test_line_colors_for_rotation_group(self, ctx3):
-        L, tau, cycle = build_line(ctx3)
-        assert cycle == (1, 2, 3)
+        L = build_line(ctx3)
+        assert pick_tau(ctx3.F)[1] == (1, 2, 3)
         # backward alternates 1,2; forward alternates 2,3
         assert [L.edge_color(i) for i in (-2, -1, 0, 1, 2, 3)] == \
             [1, 2, 1, 2, 3, 2]
 
     def test_translation_is_loxodromic_length2(self, ctx3):
-        L, tau, cycle = build_line(ctx3)
+        L = build_line(ctx3)
         t = translation_t(ctx3, L)
         for i in range(-6, 7):
             assert t.apply(L.vertex(i)) == L.vertex(i + 2)
@@ -265,7 +264,7 @@ class TestLine:
         assert eta(t) == 0
 
     def test_translation_certificate(self, ctx3):
-        L, _, _ = build_line(ctx3)
+        L = build_line(ctx3)
         t = translation_t(ctx3, L)
         cert = certify_membership(t, ctx3.F, ctx3.Fp, 8)
         assert cert.exact
@@ -274,30 +273,30 @@ class TestLine:
         assert set(cert.singular_in_radius) <= allowed
 
     def test_rotation_reflects_line(self, ctx3):
-        L, tau, cycle = build_line(ctx3)
-        r = rotation_r(ctx3, L, tau, cycle)
+        L = build_line(ctx3)
+        r = rotation_r(ctx3, L)
         for i in range(-8, 9):
             assert r.apply(L.vertex(i)) == L.vertex(-i)
 
     def test_rotation_involution_on_ball(self, ctx3):
         from treelocal.autom import Compose
-        L, tau, cycle = build_line(ctx3)
-        r = rotation_r(ctx3, L, tau, cycle)
+        L = build_line(ctx3)
+        r = rotation_r(ctx3, L)
         assert equal_on_ball(Compose(r, r), Identity(3), 4)
 
     def test_edge_transitivity(self, ctx3):
-        L, tau, cycle = build_line(ctx3)
+        L = build_line(ctx3)
         t = translation_t(ctx3, L)
-        r = rotation_r(ctx3, L, tau, cycle)
-        assert edge_transitivity_check(ctx3, L, [t, r], 8)
+        r = rotation_r(ctx3, L)
+        assert edge_transitivity_check(L, [t, r], 8)
         # the translation alone only reaches every other edge
-        assert not edge_transitivity_check(ctx3, L, [t], 8)
+        assert not edge_transitivity_check(L, [t], 8)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_sigma_periodic_past_seam(self, d):
         for ctx in valid_contexts(d):
-            L, tau, cycle = build_line(ctx)
-            for g in (translation_t(ctx, L), rotation_r(ctx, L, tau, cycle)):
+            L = build_line(ctx)
+            for g in (translation_t(ctx, L), rotation_r(ctx, L)):
                 seam, period = g.seam, g.period
                 for i in range(seam, 81):
                     assert g.sigma_at(i + period) == g.sigma_at(i)
@@ -331,14 +330,13 @@ class TestLine:
         # pair of the backward side, which the dihedral group cannot
         L = LineSpec(BASE, EventuallyPeriodic((1, 2) * 15, (1, 3)),
                      EventuallyPeriodic((), (2, 1)))
-        _, tau, cycle = build_line(ctxd4)
         with pytest.raises(ConstraintUnsolvable):
-            rotation_r(ctxd4, L, tau, cycle)
+            rotation_r(ctxd4, L)
 
     def test_line_elements_for_dihedral_pair(self, ctxd4):
-        L, tau, cycle = build_line(ctxd4)
+        L = build_line(ctxd4)
         t = translation_t(ctxd4, L)
-        r = rotation_r(ctxd4, L, tau, cycle)
+        r = rotation_r(ctxd4, L)
         cls = classify(t)
         assert isinstance(cls, Loxodromic) and cls.length == 2
         assert all(r.apply(L.vertex(i)) == L.vertex(-i) for i in range(-6, 7))

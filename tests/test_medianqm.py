@@ -178,14 +178,14 @@ class TestIndependence:
     def test_known_certificate_rank3(self, ctxd4):
         qms = [MedianQM(Segment(BASE, s), BASE, ctxd4) for s in self.SEGMENTS]
         els = [word_element(w, 4) for w in self.WORDS]
-        cert = independence_certificate(ctxd4, qms, els)
+        cert = independence_certificate(qms, els)
         assert cert.rank == 3
 
     def test_rank_bounded_by_size(self, ctxd4):
         qms = [MedianQM(Segment(BASE, s), BASE, ctxd4)
                for s in self.SEGMENTS[:2]]
         els = [word_element(w, 4) for w in self.WORDS]
-        cert = independence_certificate(ctxd4, qms, els)
+        cert = independence_certificate(qms, els)
         assert cert.rank <= 2
 
     def test_length5_segments_cap_at_rank1(self, ctxd4):
@@ -548,7 +548,7 @@ class TestOnePatternCounts:
                 assert [q.s.colors for q in cert.qms] == reps
                 assert [g.describe() for g in cert.elements] == [
                     word_element(w, ctx.d).describe() for w in words]
-                assert cert == independence_certificate(ctx, cert.qms,
+                assert cert == independence_certificate(cert.qms,
                                                         cert.elements)
             assert sorted(built) == sorted(
                 (lazy.words[i], n) for i, n in lazy.columns)

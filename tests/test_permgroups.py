@@ -11,6 +11,7 @@ from treelocal.errors import (
     MalformedCycle,
     OutOfRange,
     RepeatedEntry,
+    TreeLocalError,
 )
 from treelocal.permgroups import (
     PermGroup,
@@ -225,6 +226,13 @@ class TestAllSubgroups:
         # classical subgroup counts of Sym(3) and Sym(4)
         assert len(all_subgroups(3)) == 6
         assert len(all_subgroups(4)) == 30
+
+    def test_degree_6_refused_before_enumerating(self, monkeypatch):
+        # (Z/2)^3 = <(1 2), (3 4), (5 6)> <= Sym(6) needs three generators
+        import treelocal.permgroups as permgroups
+        monkeypatch.setattr(permgroups, "generate", None)
+        with pytest.raises(TreeLocalError, match="d <= 5"):
+            all_subgroups(6)
 
     def test_all_are_subgroups(self):
         S4 = symmetric_group(4)

@@ -45,7 +45,7 @@ class TestRoundTrips:
 
     def test_line(self):
         ctx = context_from_spec(SPEC3)
-        L, _, _ = build_line(ctx)
+        L = build_line(ctx)
         L2 = decode_line(encode_line(L))
         assert all(L2.vertex(i) == L.vertex(i) for i in range(-6, 7))
 
@@ -115,12 +115,12 @@ class TestDecodeElement:
     def test_line_element(self):
         ctx = context_from_spec(SPEC3)
         g = decode_element({"op": "line", "kind": "t"}, 3, ctx)
-        L, _, _ = build_line(ctx)
+        L = build_line(ctx)
         assert equal_on_ball(g, translation_t(ctx, L), 4)
 
     def test_line_element_with_explicit_line(self):
         ctx = context_from_spec(SPEC3)
-        L, _, _ = build_line(ctx)
+        L = build_line(ctx)
         g = decode_element({"op": "line", "kind": "t",
                             "line": encode_line(L)}, 3, ctx)
         assert all(g.apply(L.vertex(i)) == L.vertex(i + 2)
@@ -164,7 +164,7 @@ class TestSchemas:
 
     def test_line_matches_schema(self):
         ctx = context_from_spec(SPEC3)
-        L, _, _ = build_line(ctx)
+        L = build_line(ctx)
         assert self.required("line.schema.json") <= set(encode_line(L))
 
     def test_chain_matches_schema(self):

@@ -258,7 +258,7 @@ class TestLineSpec:
                 assert L.index_of(v) is None
 
     def test_index_of_equals_distance_oracle(self, ctx3, ctx4, ctxd4):
-        lines = [(build_line(ctx)[0], ctx.d) for ctx in (ctx3, ctx4, ctxd4)]
+        lines = [(build_line(ctx), ctx.d) for ctx in (ctx3, ctx4, ctxd4)]
         lines.append((LineSpec(Vertex((2, 3)), EventuallyPeriodic((3, 2), (1, 4)),
                                EventuallyPeriodic((1,), (2, 4))), 4))
         for L, d in lines:
