@@ -87,7 +87,8 @@ def _emit(obj, fmt: str) -> None:
 
 def _run_config(args) -> RunConfig:
     """The RunConfig of --config (or the CONFIG_ENV file) and --seed.  The
-    file must hold a JSON object of RunConfig fields with int values."""
+    file must hold a JSON object of RunConfig fields with int values, each
+    at least 1 but the seed."""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     data = {}
     if path:
@@ -101,6 +102,9 @@ def _run_config(args) -> RunConfig:
             if type(value) is not int:
                 raise TreeLocalError(f"config key {key!r} needs an int, "
                                      f"not {json.dumps(value)}")
+            if key != "seed" and value < 1:
+                raise TreeLocalError(f"config key {key!r} needs at least 1, "
+                                     f"not {value}")
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     return RunConfig(**data)
@@ -349,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser, once per process."""
-    return build_parser()
+@functools.lru_cache(maxsize=1)
+def _parser(build) -> argparse.ArgumentParser:
+    """The parser `build` makes, built once per builder."""
+    return build()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     # looked up when main runs, so a handler replaced after the first call
     # (by a wrapper or a test double) is the one called
     handlers = {"group": cmd_group_validate, "branch": cmd_branch,

@@ -393,6 +393,9 @@ class TestBranchCommand:
         ("spec3", {"census_n": True}, "census_n"),
         ("spec3", {"bogus": 1}, "bogus"),
         ("spec3", [1], "JSON object"),
+        ("spec3", {"census_n": 0, "transport_samples": 0, "sample_size": 0,
+                   "window": 0}, "census_n"),
+        ("spec3", {"window": -3}, "window"),
     ])
     def test_malformed_config_refused(self, capsys, request, tmp_path, spec,
                                       config, named):
