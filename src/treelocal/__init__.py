@@ -39,7 +39,6 @@ from .autom import (
     Compose,
     Diagonal,
     Elliptic,
-    Identity,
     Inverse,
     InversionMove,
     Loxodromic,
@@ -48,10 +47,7 @@ from .autom import (
     WordTranslation,
     certify_membership,
     classify,
-    compose,
-    equal_on_ball,
     eta,
-    inverse,
     power,
 )
 from .localaction import (
@@ -61,7 +57,6 @@ from .localaction import (
     build_line,
     e2_obstruction,
     edge_transitivity_check,
-    extend_from_segment,
     is_translate,
     rotation_r,
     segment_orbit_census,
@@ -79,7 +74,6 @@ from .medianqm import (
     homogenize_limit,
     independence_certificate,
     independence_search,
-    nontriviality_witness,
 )
 from .chains import (
     AlternatingChain,

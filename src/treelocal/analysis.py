@@ -53,6 +53,7 @@ from .medianqm import (
     homogenize_limit,
     independence_search,
 )
+from .serialize import encode_segment
 
 
 @dataclass(frozen=True)
@@ -283,10 +284,8 @@ def _branch2_evidence(ctx: GroupContext, cfg: RunConfig) -> dict:
             "a": wit.a,
             "b1": wit.b1,
             "b2": wit.b2,
-            "gamma1": {"start": str(wit.gamma1.start),
-                       "colors": list(wit.gamma1.colors)},
-            "gamma2": {"start": str(wit.gamma2.start),
-                       "colors": list(wit.gamma2.colors)},
+            "gamma1": encode_segment(wit.gamma1),
+            "gamma2": encode_segment(wit.gamma2),
             "translate": wit.translate,
             "bruteforce_translate": brute,
             "pass": not wit.translate and not brute,

@@ -95,20 +95,6 @@ class Automorphism:
         return type(self).__name__
 
 
-class Identity(Automorphism):
-    def _apply(self, v: Vertex) -> Vertex:
-        return v
-
-    def _local(self, v: Vertex) -> Permutation:
-        return Permutation.identity(self.d)
-
-    def is_exact(self, F: PermGroup) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return "id"
-
-
 class WordTranslation(Automorphism):
     """Left translation by a reduced word: v -> reduce(w . v).
 
@@ -521,14 +507,6 @@ class Inverse(Automorphism):
         return f"inv({self.g.describe()})"
 
 
-def compose(g: Automorphism, h: Automorphism) -> Automorphism:
-    return Compose(g, h)
-
-
-def inverse(g: Automorphism) -> Automorphism:
-    return Inverse(g)
-
-
 class Power(Automorphism):
     """g^n, evaluated by n applications of g (of its inverse for n < 0), so
     the evaluation depth does not grow with n.  The local permutation
@@ -661,8 +639,3 @@ def certify_membership(g: Automorphism, F: PermGroup, Fp: PermGroup,
         exact=g.is_exact(F),
     )
 
-
-def equal_on_ball(g: Automorphism, h: Automorphism, R: int) -> bool:
-    if g.d != h.d:
-        raise TreeLocalError(f"degree mismatch {g.d} vs {h.d}")
-    return all(g.apply(v) == h.apply(v) for v in ball(BASE, R, g.d))

@@ -58,15 +58,27 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCOMPLETE = 2
 
+# what a handler reports as invalid input (exit 1) instead of a traceback
+INPUT_ERRORS = (TreeLocalError, OSError, json.JSONDecodeError, ValueError)
+
 
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_INVALID
 
 
+def _parse_json(text: str):
+    """json.loads, with input nested past the parser's recursion limit
+    refused as invalid."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise TreeLocalError("JSON input nested too deeply") from None
+
+
 def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def _flatten(obj, prefix: str = "") -> list[str]:
@@ -126,7 +138,7 @@ def _element_from_args(args, d: int, ctx=None):
     if getattr(args, "word", None):
         return decode_element({"op": "word", "w": args.word}, d, ctx)
     if getattr(args, "element", None):
-        return decode_element(json.loads(args.element), d, ctx)
+        return decode_element(_parse_json(args.element), d, ctx)
     if getattr(args, "element_file", None):
         return decode_element(_load_json_file(args.element_file), d, ctx)
     raise TreeLocalError("no element given (use --word, --element or --element-file)")
@@ -141,7 +153,7 @@ def cmd_group_validate(args) -> int:
         d, f_gens, fp_gens = decode_group_spec(spec)
         report, ctx = validate_inputs(d, f_gens, fp_gens,
                                       relaxed_orbit_check=args.relaxed_orbits)
-    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     _emit(report.to_dict(), args.format)
     return EXIT_OK if ctx is not None else EXIT_INVALID
@@ -157,7 +169,7 @@ def cmd_branch(args) -> int:
             return EXIT_INVALID
         cfg = _run_config(args)
         branch = theorem1_branch(ctx, cfg)
-    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     out = branch.to_dict()
     if args.evidence == "summary":
@@ -193,7 +205,7 @@ def cmd_element(args) -> int:
             }
         else:
             return _fail(f"unknown element subcommand {args.element_cmd!r}")
-    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     _emit(out, args.format)
     return EXIT_OK
@@ -210,7 +222,7 @@ def cmd_qm(args) -> int:
                 return EXIT_INCOMPLETE
             _emit(cert.to_dict(), args.format)
             return EXIT_OK
-        s = decode_segment(json.loads(args.segment))
+        s = decode_segment(_parse_json(args.segment))
         base = Vertex.parse(args.base)
         f = MedianQM(s, base, ctx)
         g = _element_from_args(args, ctx.d, ctx)
@@ -224,7 +236,7 @@ def cmd_qm(args) -> int:
                 out["limit"] = [str(q) for q in homogenize_limit(f, g, args.limit)]
         else:
             return _fail(f"unknown qm subcommand {args.qm_cmd!r}")
-    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     _emit(out, args.format)
     return EXIT_OK
@@ -253,7 +265,7 @@ def cmd_chains(args) -> int:
             }
         else:
             return _fail(f"unknown chains subcommand {args.chains_cmd!r}")
-    except (TreeLocalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     _emit(out, args.format)
     return EXIT_OK

@@ -171,35 +171,7 @@ def is_translate_bruteforce(ctx: GroupContext, s: Segment, s2: Segment) -> bool:
     return rec(0, None)
 
 
-# --- extension and transport ---
-
-
-def extend_from_segment(ctx: GroupContext, source: Segment, target: Segment,
-                        sigma_choices: Sequence[Permutation]) -> Automorphism:
-    """Extend a prescribed vertexwise map of segments to an element of
-    G(F,F') by filling every off-segment vertex with the least F element
-    matching its single inherited color constraint."""
-    if source.length != target.length:
-        raise LengthMismatch(f"{source.length} vs {target.length}")
-    sigmas = list(sigma_choices)
-    if source.length == 0 and not sigmas:
-        sigmas = [Permutation.identity(ctx.d)]
-    if len(sigmas) != source.length + 1:
-        raise IncompatibleSigma(
-            f"need {source.length + 1} permutations, got {len(sigmas)}")
-    return _extend(ctx, source.vertices(), target.vertices(), sigmas)
-
-
-def _extend(ctx: GroupContext, vertices: Sequence[Vertex],
-            images: Sequence[Vertex], sigmas: Sequence[Permutation]) -> Automorphism:
-    """The portrait vertices[i] -> images[i] with sigmas[i] in F', filled by F."""
-    for p in sigmas:
-        if p not in ctx.Fp:
-            raise IncompatibleSigma(f"{p.cycle_string()} is not in F'")
-    try:
-        return SegmentPortrait(vertices, images, sigmas, ctx.F)
-    except InconsistentPortrait as exc:
-        raise IncompatibleSigma(str(exc)) from exc
+# --- transport ---
 
 
 def _slot(ctx: GroupContext, cons: Sequence[tuple[int, int]],
@@ -237,7 +209,11 @@ def _transport(ctx: GroupContext, s: Segment, colors: Sequence[int],
                   for i in range(len(pairs) + 1)]
     except ConstraintUnsolvable:
         return None
-    return _extend(ctx, s.vertices(), images, sigmas)
+    # each slot lies in F or F', so the portrait only checks consistency
+    try:
+        return SegmentPortrait(s.vertices(), images, sigmas, ctx.F)
+    except InconsistentPortrait as exc:
+        raise IncompatibleSigma(str(exc)) from exc
 
 
 def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec) -> Automorphism:

@@ -32,7 +32,7 @@ from .autom import (
 )
 from .localaction import ENUMERATION_CAP, GroupContext, segment_orbit_census
 from .ratmat import border, rank
-from .tree import BASE, Segment, Vertex, geodesic, reduced_words
+from .tree import BASE, Segment, Vertex, geodesic
 
 
 @dataclass(frozen=True)
@@ -296,62 +296,12 @@ class _AxisColumns:
                     index.setdefault(k, []).append((i, h))
 
 
-def homogenize_word(f: MedianQM, w: Sequence[int]) -> int:
-    """Homogenization against the word translation by w, read from its
-    axis column, so no automorphism evaluation is needed."""
-    return axis_column(f.ctx, w, f.s.length)[f.ctx.orbital_word(f.s.colors)]
-
-
 def eval_colors(ctx: GroupContext, word: tuple[int, ...],
                 pattern: tuple[int, ...]) -> int:
     """Signed occurrence count of the pattern over a whole finite color
     word: forward occurrences minus occurrences of the reversal."""
     fwd, bwd = _signed_count(ctx, word, pattern, 0, len(word))
     return fwd - bwd
-
-
-def cyclically_reduced_words(d: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """The reduced words of length 2..max_len with w[0] != w[-1], in word
-    order."""
-    for length in range(2, max_len + 1):
-        for w in reduced_words(d, length):
-            if w[0] != w[-1]:
-                yield w
-
-
-def _check_word_count(d: int, search_bound: int) -> None:
-    """Refuse when the cyclically reduced words of length 2..search_bound
-    number more than ENUMERATION_CAP.  The words of length n with w_1 !=
-    w_n are the closed walks of length n on the complete graph K_d:
-    (d-1)^n + (-1)^n (d-1) of them."""
-    total = 0
-    for n in range(2, search_bound + 1):
-        total += (d - 1) ** n + (-1) ** n * (d - 1)
-        if total > ENUMERATION_CAP:
-            raise SizeLimitExceeded(
-                f"more than {ENUMERATION_CAP} words up to length "
-                f"{search_bound} at d = {d}")
-
-
-def nontriviality_witness(
-        f: MedianQM, search_bound: int) -> Optional[tuple[Automorphism, Automorphism]]:
-    """A pair (a, b) with homogenize(ab) != homogenize(a) + homogenize(b),
-    certifying that the homogenization is not a homomorphism.  Searches
-    word translations up to the bound, in word order, refused past
-    ENUMERATION_CAP words before the scan starts; None when the search is
-    exhausted."""
-    d = f.ctx.d
-    _check_word_count(d, search_bound)
-    for w in cyclically_reduced_words(d, search_bound):
-        h = homogenize_word(f, w)
-        if h == 0:
-            continue
-        for cut in range(1, len(w)):
-            a, b = w[:cut], w[cut:]
-            if h != homogenize_word(f, a) + homogenize_word(f, b):
-                return (WordTranslation(Vertex(a), d),
-                        WordTranslation(Vertex(b), d))
-    return None
 
 
 def find_nonvanishing_qm(
@@ -381,6 +331,13 @@ def find_nonvanishing_qm(
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
+    """Homogenized values of median quasimorphisms (rows) on elements
+    (columns), with the matrix's exact rank: a lower bound on the rank of
+    the rows as homogeneous quasimorphisms.  Their classes in H^2_b(G; R)
+    are independent only modulo Hom(G, R), the kernel of the map from
+    homogeneous quasimorphisms to H^2_b(G; R); nothing here checks that no
+    combination of the rows is a homomorphism."""
+
     qms: tuple[MedianQM, ...]
     elements: tuple[Automorphism, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -410,7 +367,9 @@ def independence_certificate(qms: Sequence[MedianQM],
 
 def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
                         search_bound: int) -> Optional[IndependenceCertificate]:
-    """Search for target_rank independent median quasimorphisms.
+    """Search for target_rank linearly independent homogenized median
+    quasimorphisms; see IndependenceCertificate for what that rank does
+    and does not say about H^2_b(G; R).
 
     Greedy: walk the segment orbit representatives; for each, scan word
     translations and accept the first (representative, word) pair whose

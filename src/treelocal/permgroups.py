@@ -178,9 +178,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if self.degree != other.degree:
             raise DegreeMismatch(f"{self.degree} vs {other.degree}")

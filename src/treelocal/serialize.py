@@ -1,18 +1,26 @@
-"""JSON wire formats for trees, groups, elements, quasimorphisms, chains.
+"""JSON wire formats for segments, lines, group specs and elements, and
+the DOT export of a ball.
 
-All encoders produce plain dicts/lists ready for json.dumps; decoders
-accept the same shapes.  Vertex text format: dot-separated colors with
-the base vertex rendered "e".
+Encoders produce plain dicts/lists ready for json.dumps; decoders accept
+the same shapes.  Vertex text format: dot-separated colors with the base
+vertex rendered "e".
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .errors import TreeLocalError
 from .permgroups import generate, parse_cycles
-from .tree import EventuallyPeriodic, LineSpec, Segment, Vertex
+from .tree import (
+    EventuallyPeriodic,
+    LineSpec,
+    Segment,
+    Vertex,
+    ball,
+    neighbor,
+    vertex_key,
+)
 from .autom import (
     Automorphism,
     Compose,
@@ -23,7 +31,6 @@ from .autom import (
     WordTranslation,
 )
 from .localaction import GroupContext, build_line, rotation_r, translation_t
-from .chains import AlternatingChain
 
 
 def _field(obj, key: str, what: str, kind: type = object):
@@ -61,14 +68,6 @@ def _colors(obj, key: str, what: str) -> tuple[int, ...]:
 # --- tree types ---
 
 
-def encode_vertex(v: Vertex) -> dict:
-    return {"v": str(v)}
-
-
-def decode_vertex(obj: dict) -> Vertex:
-    return Vertex.parse(_field(obj, "v", "vertex", str))
-
-
 def encode_segment(s: Segment) -> dict:
     return {"start": str(s.start), "colors": list(s.colors)}
 
@@ -76,14 +75,6 @@ def encode_segment(s: Segment) -> dict:
 def decode_segment(obj: dict) -> Segment:
     return Segment(Vertex.parse(_field(obj, "start", "segment", str)),
                    _colors(obj, "colors", "segment"))
-
-
-def encode_line(L: LineSpec) -> dict:
-    return {
-        "anchor": str(L.anchor),
-        "forward": {"pre": list(L.forward.pre), "period": list(L.forward.period)},
-        "backward": {"pre": list(L.backward.pre), "period": list(L.backward.period)},
-    }
 
 
 def decode_line(obj: dict) -> LineSpec:
@@ -115,9 +106,26 @@ def context_from_spec(obj: dict) -> GroupContext:
 
 # --- elements ---
 
+#: The most levels an element expression may nest.  Each argument of a
+#: compose counts a level, since the arguments are folded into a chain of
+#: binary compositions.  Evaluation takes about two frames per level, so
+#: near 490 levels overflow Python's default recursion limit; at 200,
+#: build, classify, apply and certify succeed under 400 frames of callers.
+MAX_ELEMENT_DEPTH = 200
+
 
 def decode_element(obj: dict, d: int,
                    ctx: Optional[GroupContext] = None) -> Automorphism:
+    """The automorphism of an element expression, refused (TreeLocalError)
+    when it nests deeper than MAX_ELEMENT_DEPTH levels."""
+    return _element(obj, d, ctx, 1)
+
+
+def _element(obj: dict, d: int, ctx: Optional[GroupContext],
+             depth: int) -> Automorphism:
+    if depth > MAX_ELEMENT_DEPTH:
+        raise TreeLocalError(f"element expression nested deeper than "
+                             f"MAX_ELEMENT_DEPTH = {MAX_ELEMENT_DEPTH} levels")
     op = _field(obj, "op", "element")
     what = f"{op!r} element"
 
@@ -132,7 +140,8 @@ def decode_element(obj: dict, d: int,
         return SubtreeDiagonal(Vertex.parse(text("at")),
                                parse_cycles(text("perm"), d))
     if op == "compose":
-        args = [decode_element(a, d, ctx) for a in _field(obj, "args", what, list)]
+        raw = _field(obj, "args", what, list)
+        args = [_element(a, d, ctx, depth + len(raw)) for a in raw]
         if not args:
             raise TreeLocalError("compose needs at least one argument")
         out = args[0]
@@ -140,9 +149,9 @@ def decode_element(obj: dict, d: int,
             out = Compose(out, a)
         return out
     if op == "inverse":
-        return Inverse(decode_element(_field(obj, "arg", what), d, ctx))
+        return Inverse(_element(_field(obj, "arg", what), d, ctx, depth + 1))
     if op == "patched":
-        base = decode_element(_field(obj, "base", what), d, ctx)
+        base = _element(_field(obj, "base", what), d, ctx, depth + 1)
         overrides = {Vertex.parse(v): parse_cycles(p, d)
                      for v, p in _field(obj, "overrides", what, list)}
         return Patched(base, overrides)
@@ -164,30 +173,12 @@ def decode_element(obj: dict, d: int,
     raise TreeLocalError(f"unknown element op {op!r}")
 
 
-# --- chains ---
-
-
-def encode_chain(c: AlternatingChain) -> dict:
-    terms = sorted(
-        ([[str(v) for v in key], str(coeff)] for key, coeff in c.terms.items()),
-        key=lambda t: t[0])
-    return {"degree": c.degree, "terms": terms}
-
-
-def decode_chain(obj: dict) -> AlternatingChain:
-    raw = [(tuple(Vertex.parse(v) for v in key), Fraction(coeff))
-           for key, coeff in _field(obj, "terms", "chain", list)]
-    return AlternatingChain.build(_integer(obj, "degree", "chain"), raw)
-
-
 # --- DOT export ---
 
 
 def dot_ball(d: int, radius: int, center: Vertex = Vertex()) -> str:
     """Graphviz DOT text of the ball around a vertex, edges labeled with
     their colors."""
-    from .tree import ball, neighbor
-
     nodes = list(ball(center, radius, d))
     node_set = set(nodes)
     lines = ["graph tree {"]
@@ -196,7 +187,7 @@ def dot_ball(d: int, radius: int, center: Vertex = Vertex()) -> str:
     for v in nodes:
         for k in range(1, d + 1):
             w = neighbor(v, k)
-            if w in node_set and (len(w), tuple(w)) > (len(v), tuple(v)):
+            if w in node_set and vertex_key(w) > vertex_key(v):
                 lines.append(f'  "{v}" -- "{w}" [label={k}];')
     lines.append("}")
     return "\n".join(lines)

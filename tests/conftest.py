@@ -11,7 +11,6 @@ from treelocal.analysis import validate_inputs
 from treelocal.autom import (
     Compose,
     Diagonal,
-    Identity,
     Inverse,
     SegmentPortrait,
     SubtreeDiagonal,
@@ -24,7 +23,16 @@ from treelocal.permgroups import (
     find_mapping,
     preserves_orbits,
 )
-from treelocal.tree import Segment, Vertex, distance, neighbor, reduced_words
+from treelocal.errors import TreeLocalError
+from treelocal.tree import (
+    BASE,
+    Segment,
+    Vertex,
+    ball,
+    distance,
+    neighbor,
+    reduced_words,
+)
 
 
 @pytest.fixture(scope="session")
@@ -209,7 +217,7 @@ def random_permutation(rng: random.Random, d: int) -> Permutation:
 def random_primitive(rng: random.Random, d: int):
     kind = rng.randrange(4)
     if kind == 0:
-        return Identity(d)
+        return WordTranslation(Vertex(), d)
     if kind == 1:
         return WordTranslation(random_reduced_word(rng, d, rng.randint(1, 3)), d)
     if kind == 2:
@@ -248,3 +256,10 @@ def conjugate_support_shift_check(a, b, window) -> bool:
     a_inv = Inverse(a)
     rhs = {a_inv.apply(v) for v in moved_set(b, [a.apply(w) for w in window])}
     return lhs == rhs
+
+
+def equal_on_ball(g, h, R: int) -> bool:
+    """Whether g and h agree on every vertex of ball(BASE, R)."""
+    if g.d != h.d:
+        raise TreeLocalError(f"degree mismatch {g.d} vs {h.d}")
+    return all(g.apply(v) == h.apply(v) for v in ball(BASE, R, g.d))

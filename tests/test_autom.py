@@ -29,7 +29,6 @@ from treelocal.autom import (
     Diagonal,
     Elliptic,
     FilledPortrait,
-    Identity,
     InversionMove,
     Inverse,
     Loxodromic,
@@ -40,7 +39,6 @@ from treelocal.autom import (
     WordTranslation,
     certify_membership,
     classify,
-    equal_on_ball,
     eta,
     power,
 )
@@ -68,6 +66,7 @@ from treelocal.tree import (
 
 from conftest import (
     conjugate_support_shift_check,
+    equal_on_ball,
     moved_set,
     random_composite,
     random_reduced_word,
@@ -77,7 +76,7 @@ from conftest import (
 
 class TestBasicElements:
     def test_identity(self):
-        g = Identity(3)
+        g = WordTranslation(Vertex(), 3)
         assert g.apply(Vertex((1, 2))) == Vertex((1, 2))
         assert g.local(BASE).is_identity()
 
@@ -112,7 +111,7 @@ class TestBasicElements:
 
     def test_patched_inconsistency_surfaces_lazily(self):
         from treelocal.errors import InconsistentPortrait
-        g = Patched(Identity(3), {Vertex((3,)): parse_cycles("(1 2)", 3)})
+        g = Patched(WordTranslation(Vertex(), 3), {Vertex((3,)): parse_cycles("(1 2)", 3)})
         # paths avoiding the patched edge still evaluate
         assert g.apply(Vertex((2, 1))) == Vertex((2, 1))
         # walking through the offending edge raises instead of guessing
@@ -135,8 +134,8 @@ class TestCompositionAlgebra:
         for _ in range(20):
             g = random_composite(rng, 3, 3)
             gi = Inverse(g)
-            assert equal_on_ball(Compose(g, gi), Identity(3), 4)
-            assert equal_on_ball(Compose(gi, g), Identity(3), 4)
+            assert equal_on_ball(Compose(g, gi), WordTranslation(Vertex(), 3), 4)
+            assert equal_on_ball(Compose(gi, g), WordTranslation(Vertex(), 3), 4)
 
     def test_power_matches_repeated_compose(self):
         g = WordTranslation(Vertex((1, 2, 3)), 4)
@@ -182,7 +181,7 @@ class TestLocalCocycle:
 
 class TestClassify:
     def test_identity_elliptic(self):
-        cls = classify(Identity(3))
+        cls = classify(WordTranslation(Vertex(), 3))
         assert isinstance(cls, Elliptic)
         assert cls.fixed == BASE
 
@@ -241,7 +240,7 @@ class TestEta:
     def test_parity_of_translations(self):
         assert eta(WordTranslation(Vertex((1, 2)), 3)) == 0
         assert eta(WordTranslation(Vertex((1, 2, 1)), 3)) == 1
-        assert eta(Identity(3)) == 0
+        assert eta(WordTranslation(Vertex(), 3)) == 0
 
     def test_homomorphism_property(self):
         rng = random.Random(23)
@@ -277,7 +276,7 @@ class TestMembership:
 
     def test_singular_support_of_patch(self):
         F = generate([parse_cycles("(1 2 3)", 3)], 3)
-        g = Patched(Identity(3), {Vertex((3,)): parse_cycles("(1 2)", 3)})
+        g = Patched(WordTranslation(Vertex(), 3), {Vertex((3,)): parse_cycles("(1 2)", 3)})
         cert = certify_membership(g, F, symmetric_group(3), 3)
         # the singular set is finite by construction, so membership in G(F)
         # is certified exactly even though one local permutation leaves F
@@ -287,7 +286,7 @@ class TestMembership:
 
     def test_singular_support_monotone_in_radius(self):
         F = generate([parse_cycles("(1 2 3)", 3)], 3)
-        g = Patched(Identity(3), {Vertex((1, 2)): parse_cycles("(2 3)", 3)})
+        g = Patched(WordTranslation(Vertex(), 3), {Vertex((1, 2)): parse_cycles("(2 3)", 3)})
         S3 = symmetric_group(3)
         small = set(certify_membership(g, F, S3, 1).singular_in_radius)
         large = set(certify_membership(g, F, S3, 4).singular_in_radius)

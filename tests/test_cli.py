@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treelocal import cli
 from treelocal.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
+from treelocal.serialize import MAX_ELEMENT_DEPTH
 from treelocal.tree import ball_size
 
 SPEC3 = {"d": 3, "F": ["(1 2 3)"], "Fprime": ["(1 2 3)", "(1 2)"]}
@@ -357,6 +358,50 @@ class TestMalformedInput:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+WORD = '{"op": "word", "w": "1.2"}'
+
+
+def nested_inverse(n: int) -> str:
+    """n inverses around a word, written out (json.dumps recurses)."""
+    return '{"op": "inverse", "arg": ' * n + WORD + "}" * n
+
+
+def flat_compose(n: int) -> str:
+    return '{"op": "compose", "args": [' + ", ".join([WORD] * n) + "]}"
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize("text", [
+        pytest.param(flat_compose(1000), id="compose-1000-args"),
+        pytest.param(nested_inverse(600), id="inverse-600-deep"),
+        pytest.param(nested_inverse(2000), id="inverse-2000-deep-json"),
+    ])
+    def test_refused_with_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "element.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "element", "build", "--d", "3",
+                             "--element-file", str(path))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("make", [nested_inverse, flat_compose],
+                             ids=["inverse", "compose"])
+    def test_every_command_works_at_the_cap(self, capsys, tmp_path, spec3, make):
+        # the top level counts one, and so does each inverse or compose argument
+        at_cap, over = tmp_path / "at.json", tmp_path / "over.json"
+        at_cap.write_text(make(MAX_ELEMENT_DEPTH - 1))
+        over.write_text(make(MAX_ELEMENT_DEPTH))
+        for cmd in (["build"], ["classify"], ["apply", "--vertex", "1.2.1.3"],
+                    ["certify", "--radius", "2"]):
+            base = ["element", cmd[0], "--spec", spec3, *cmd[1:]]
+            code, out, _ = run(capsys, *base, "--element-file", str(at_cap))
+            assert code == EXIT_OK and json.loads(out)
+            code, _, err = run(capsys, *base, "--element-file", str(over))
+            assert code == EXIT_INVALID and "MAX_ELEMENT_DEPTH" in err
 
 
 class TestBranchCommand:

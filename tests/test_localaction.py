@@ -15,13 +15,11 @@ from treelocal.errors import (
 )
 from treelocal.permgroups import is_2transitive_direct, pick_tau, trivial_group
 from treelocal.autom import (
-    Identity,
     Loxodromic,
     WordTranslation,
     certify_membership,
     classify,
     eta,
-    equal_on_ball,
     power,
 )
 from treelocal.medianqm import eval_colors
@@ -32,7 +30,6 @@ from treelocal.localaction import (
     colors_matchable,
     e2_obstruction,
     edge_transitivity_check,
-    extend_from_segment,
     is_translate,
     is_translate_bruteforce,
     rotation_r,
@@ -53,6 +50,7 @@ from treelocal.tree import (
 
 from conftest import (
     SlotwiseMatcher,
+    equal_on_ball,
     pairwise_census,
     random_reduced_word,
     scan_transport_into_line,
@@ -240,11 +238,6 @@ class TestTransport:
         with pytest.raises(NotTwoTransitive):
             transport_into_line(ctxd4, Segment(BASE, (1,)), L)
 
-    def test_extend_from_segment_checks_sigmas(self, ctx3):
-        s = Segment(BASE, (1,))
-        with pytest.raises(TreeLocalError):
-            extend_from_segment(ctx3, s, Segment(BASE, (2,)), [])
-
 
 class TestLine:
     def test_line_colors_for_rotation_group(self, ctx3):
@@ -282,7 +275,7 @@ class TestLine:
         from treelocal.autom import Compose
         L = build_line(ctx3)
         r = rotation_r(ctx3, L)
-        assert equal_on_ball(Compose(r, r), Identity(3), 4)
+        assert equal_on_ball(Compose(r, r), WordTranslation(Vertex(), 3), 4)
 
     def test_edge_transitivity(self, ctx3):
         L = build_line(ctx3)

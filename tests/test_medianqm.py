@@ -13,21 +13,18 @@ from treelocal import medianqm, ratmat
 from treelocal.analysis import RunConfig
 from treelocal.medianqm import (
     MedianQM,
+    axis_column,
     cyclic_reduction,
-    cyclically_reduced_words,
     eval_colors,
     eval_qm,
     find_nonvanishing_qm,
     homogenize,
     homogenize_limit,
-    homogenize_word,
     independence_certificate,
     independence_search,
-    nontriviality_witness,
-    reduced_words,
 )
-from treelocal.medianqm import _axis_words, _check_word_count
-from treelocal.tree import BASE, Segment, Vertex
+from treelocal.medianqm import _axis_words
+from treelocal.tree import BASE, Segment, Vertex, reduced_words
 
 from conftest import (
     SlotwiseMatcher,
@@ -44,10 +41,10 @@ def word_element(letters, d):
 
 
 def search_words(d: int, search_bound: int) -> list[tuple[int, ...]]:
-    """The cyclically reduced words of length 2..search_bound, once their
-    number is known to be within ENUMERATION_CAP."""
-    _check_word_count(d, search_bound)
-    return list(cyclically_reduced_words(d, search_bound))
+    """The cyclically reduced words (w[0] != w[-1]) of length
+    2..search_bound, in word order."""
+    return [w for n in range(2, search_bound + 1)
+            for w in reduced_words(d, n) if w[0] != w[-1]]
 
 
 class TestEval:
@@ -75,9 +72,8 @@ class TestEval:
             assert eval_qm(f, Inverse(g)).value == -eval_qm(f, g).value
 
     def test_identity_evaluates_to_zero(self, ctx3):
-        from treelocal.autom import Identity
         f = MedianQM(Segment(BASE, (1, 2)), BASE, ctx3)
-        assert eval_qm(f, Identity(3)).value == 0
+        assert eval_qm(f, WordTranslation(Vertex(), 3)).value == 0
 
 
 class TestVanishing2Transitive:
@@ -101,10 +97,12 @@ class TestHomogenize:
 
     def test_matches_word_fast_path(self, ctxd4):
         rng = random.Random(8)
-        f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
+        s = (1, 2, 1, 3, 1)
+        f = MedianQM(Segment(BASE, s), BASE, ctxd4)
         for _ in range(10):
             w = tuple(random_reduced_word(rng, 4, rng.randint(2, 7)))
-            assert homogenize(f, word_element(w, 4)) == homogenize_word(f, w)
+            assert (homogenize(f, word_element(w, 4))
+                    == axis_column(ctxd4, w, len(s))[ctxd4.orbital_word(s)])
 
     def test_homogeneous_on_powers(self, ctxd4):
         f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
@@ -155,20 +153,6 @@ class TestSearches:
     def test_search_empty_for_2transitive(self, ctx3):
         assert find_nonvanishing_qm(ctx3, 3, 5) is None
 
-    def test_nontriviality_witness_capped(self, ctx3):
-        # the scan is refused before its words are listed
-        f = MedianQM(Segment(BASE, (1, 2)), BASE, ctx3)
-        with pytest.raises(SizeLimitExceeded):
-            nontriviality_witness(f, 40)
-
-    def test_nontriviality_witness(self, ctxd4):
-        f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
-        pair = nontriviality_witness(f, 8)
-        assert pair is not None
-        a, b = pair
-        assert (homogenize(f, Compose(a, b))
-                != homogenize(f, a) + homogenize(f, b))
-
 
 class TestIndependence:
     SEGMENTS = ((1, 2, 1, 3, 1), (1, 2, 1, 3, 1, 3), (1, 2, 4, 1, 2, 4))
@@ -212,11 +196,7 @@ class TestWordEnumeration:
         assert len(search_words(4, 8)) == 9840
 
     def test_search_words_capped_before_enumeration(self, ctxd4):
-        # d = 4: bound 10 gives 88,572 words, bound 11 gives 265,716
-        assert len(search_words(4, 10)) == 88572
-        for bound in (11, 12, 20, 10 ** 9):
-            with pytest.raises(SizeLimitExceeded):
-                search_words(4, bound)
+        # the searches refuse a bound whose axis words pass the cap
         with pytest.raises(SizeLimitExceeded):
             find_nonvanishing_qm(ctxd4, 2, 13)
         with pytest.raises(SizeLimitExceeded):
@@ -276,7 +256,7 @@ def naive_find_nonvanishing(match, max_seg, search_bound):
     ctx = match.ctx
     for seg_len in range(1, max_seg + 1):
         for rep in pairwise_census(match, seg_len):
-            for w in cyclically_reduced_words(ctx.d, search_bound):
+            for w in search_words(ctx.d, search_bound):
                 h = naive_homogenize_word(match, rep, w)
                 if h != 0 and all(naive_count(match, w * n, rep, 0, len(w) * n) == n * h
                                   for n in (6, 7, 8)):
@@ -289,7 +269,7 @@ def naive_independence_search(match, target_rank, max_seg, search_bound):
     chosen_reps, chosen_words, matrix = [], [], []
     for seg_len in range(1, max_seg + 1):
         for rep in pairwise_census(match, seg_len):
-            for w in cyclically_reduced_words(ctx.d, search_bound):
+            for w in search_words(ctx.d, search_bound):
                 if naive_homogenize_word(match, rep, w) == 0:
                     continue
                 cand = [row + [naive_homogenize_word(match, g, w)]
@@ -316,8 +296,8 @@ class TestAgainstSlotwiseOracle:
                 word = tuple(random_reduced_word(rng, ctx.d, rng.randint(0, 12)))
                 assert (eval_colors(ctx, word, pattern)
                         == naive_count(match, word, pattern, 0, len(word)))
-                f = MedianQM(Segment(BASE, pattern), BASE, ctx)
-                assert homogenize_word(f, word) == naive_homogenize_word(match, pattern, word)
+                assert (axis_column(ctx, word, len(pattern))[ctx.orbital_word(pattern)]
+                        == naive_homogenize_word(match, pattern, word))
 
     @pytest.mark.parametrize("pair, max_seg, search_bound", [
         pytest.param("ctxd4", 3, 6, id="3-6"),

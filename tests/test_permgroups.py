@@ -122,7 +122,6 @@ class TestGenerate:
 
     def test_trivial(self):
         assert trivial_group(5).order == 1
-        assert trivial_group(5).is_trivial
 
     def test_elements_sorted(self):
         G = symmetric_group(3)

@@ -2,29 +2,24 @@
 
 import json
 import pathlib
-from fractions import Fraction
 
 import pytest
 
+from treelocal.autom import WordTranslation
 from treelocal.errors import TreeLocalError
-from treelocal.autom import equal_on_ball
-from treelocal.chains import AlternatingChain
 from treelocal.localaction import build_line, translation_t
 from treelocal.serialize import (
     context_from_spec,
-    decode_chain,
     decode_element,
     decode_group_spec,
     decode_line,
     decode_segment,
-    decode_vertex,
     dot_ball,
-    encode_chain,
-    encode_line,
     encode_segment,
-    encode_vertex,
 )
 from treelocal.tree import BASE, Segment, Vertex, ball_size
+
+from conftest import equal_on_ball
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -32,12 +27,19 @@ SPEC3 = {"d": 3, "F": ["(1 2 3)"], "Fprime": ["(1 2 3)", "(1 2)"]}
 SPECD4 = {"d": 4, "F": ["(1 2 3 4)"], "Fprime": ["(1 2 3 4)", "(1 3)"]}
 
 
+def line_json(L) -> dict:
+    """The line.schema.json object of a line."""
+    return {
+        "anchor": str(L.anchor),
+        "forward": {"pre": list(L.forward.pre), "period": list(L.forward.period)},
+        "backward": {"pre": list(L.backward.pre), "period": list(L.backward.period)},
+    }
+
+
 class TestRoundTrips:
     def test_vertex(self):
         for text in ("e", "1", "2.1.3"):
-            v = Vertex.parse(text)
-            assert decode_vertex(encode_vertex(v)) == v
-            assert encode_vertex(v) == {"v": text}
+            assert str(Vertex.parse(text)) == text
 
     def test_segment(self):
         s = Segment(Vertex((2,)), (1, 3, 1))
@@ -46,16 +48,8 @@ class TestRoundTrips:
     def test_line(self):
         ctx = context_from_spec(SPEC3)
         L = build_line(ctx)
-        L2 = decode_line(encode_line(L))
+        L2 = decode_line(line_json(L))
         assert all(L2.vertex(i) == L.vertex(i) for i in range(-6, 7))
-
-    def test_chain(self):
-        c = AlternatingChain.build(
-            1, [((Vertex((1,)), Vertex((2,))), Fraction(1, 3)),
-                ((Vertex((3,)), Vertex((1,))), Fraction(-2))])
-        c2 = decode_chain(encode_chain(c))
-        assert c2.degree == c.degree
-        assert c2.terms == c.terms
 
 
 class TestGroupSpec:
@@ -80,11 +74,6 @@ class TestGroupSpec:
         with pytest.raises(TreeLocalError, match=repr(key)):
             decode_group_spec({**SPEC3, key: value})
 
-    @pytest.mark.parametrize("degree", [1.7, 1.0, True, "1", None])
-    def test_chain_degree_is_an_integer(self, degree):
-        with pytest.raises(TreeLocalError, match="'degree'"):
-            decode_chain({"degree": degree, "terms": []})
-
 
 class TestDecodeElement:
     def test_word(self):
@@ -102,8 +91,7 @@ class TestDecodeElement:
             {"op": "word", "w": "1.2"},
             {"op": "inverse", "arg": {"op": "word", "w": "1.2"}}]}
         g = decode_element(expr, 3)
-        from treelocal.autom import Identity
-        assert equal_on_ball(g, Identity(3), 4)
+        assert equal_on_ball(g, WordTranslation(Vertex(), 3), 4)
 
     def test_patched(self):
         expr = {"op": "patched",
@@ -122,7 +110,7 @@ class TestDecodeElement:
         ctx = context_from_spec(SPEC3)
         L = build_line(ctx)
         g = decode_element({"op": "line", "kind": "t",
-                            "line": encode_line(L)}, 3, ctx)
+                            "line": line_json(L)}, 3, ctx)
         assert all(g.apply(L.vertex(i)) == L.vertex(i + 2)
                    for i in range(-4, 5))
 
@@ -153,7 +141,7 @@ class TestSchemas:
 
     def test_all_schemas_parse(self):
         files = list(SCHEMA_DIR.glob("*.schema.json"))
-        assert len(files) >= 7
+        assert len(files) >= 6
         for f in files:
             data = json.loads(f.read_text())
             assert "$schema" in data
@@ -165,12 +153,7 @@ class TestSchemas:
     def test_line_matches_schema(self):
         ctx = context_from_spec(SPEC3)
         L = build_line(ctx)
-        assert self.required("line.schema.json") <= set(encode_line(L))
-
-    def test_chain_matches_schema(self):
-        c = AlternatingChain.build(
-            0, [((Vertex((1,)),), Fraction(1))])
-        assert self.required("chain.schema.json") <= set(encode_chain(c))
+        assert self.required("line.schema.json") <= set(line_json(L))
 
     def test_group_spec_schema_keys(self):
         assert self.required("group-spec.schema.json") <= set(SPEC3)
