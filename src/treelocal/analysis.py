@@ -18,11 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .permgroups import (
     PermGroup,
-    Permutation,
     generate,
     is_2transitive_direct,
     is_transitive,
@@ -96,33 +95,17 @@ class ValidationReport:
         }
 
 
-def _permutes_orbit_blocks(F: PermGroup, Fp: PermGroup) -> bool:
-    """Relaxed reading: every element of F' maps each F-orbit onto some
-    F-orbit (possibly a different one)."""
-    blocks = [frozenset(b) for b in orbits(F)]
-    block_set = set(blocks)
-    return all(frozenset(g(x) for x in b) in block_set
-               for g in Fp.generators for b in blocks)
+def _as_group(gens: Sequence[str], d: int) -> PermGroup:
+    return generate([parse_cycles(g, d) for g in gens], d)
 
 
-GenSpec = Union[str, Permutation]
-
-
-def _as_group(gens: Sequence[GenSpec], d: int) -> PermGroup:
-    parsed = [g if isinstance(g, Permutation) else parse_cycles(g, d)
-              for g in gens]
-    return generate(parsed, d)
-
-
-def validate_inputs(d: int, F_gens: Sequence[GenSpec], Fp_gens: Sequence[GenSpec],
-                    relaxed_orbit_check: bool = False,
+def validate_inputs(d: int, F_gens: Sequence[str], Fp_gens: Sequence[str]
                     ) -> tuple[ValidationReport, Optional[GroupContext]]:
-    """Check the standing hypotheses and build a GroupContext when they
-    all hold.  Failed checks are flags in the report, not exceptions."""
+    """Check the standing hypotheses on the pair generated by the cycle
+    strings and build a GroupContext when they all hold.  Failed checks
+    are flags in the report, not exceptions."""
     F = _as_group(F_gens, d)
     Fp = _as_group(Fp_gens, d)
-    preserved = (_permutes_orbit_blocks(F, Fp) if relaxed_orbit_check
-                 else preserves_orbits(F, Fp))
     report = ValidationReport(
         d=d,
         order_F=F.order,
@@ -132,14 +115,14 @@ def validate_inputs(d: int, F_gens: Sequence[GenSpec], Fp_gens: Sequence[GenSpec
         degree_ok=d >= 3,
         is_subgroup=F.is_subgroup_of(Fp),
         proper_inclusion=F.is_subgroup_of(Fp) and F.order < Fp.order,
-        orbits_preserved=preserved,
+        orbits_preserved=preserves_orbits(F, Fp),
         F_transitive=is_transitive(F),
         Fp_transitive=is_transitive(Fp),
         Fp_2transitive=is_2transitive_direct(Fp),
     )
     if not report.ok:
         return report, None
-    return report, GroupContext(d, F, Fp, relaxed_orbits=relaxed_orbit_check)
+    return report, GroupContext(d, F, Fp)
 
 
 @dataclass(frozen=True)

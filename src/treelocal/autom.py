@@ -72,9 +72,6 @@ class Automorphism:
             self._local_memo[v] = hit
         return hit
 
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.apply(v)
-
     def ball_locals(self, R: int) -> Iterator[tuple[Vertex, Permutation]]:
         """(v, local(v)) for every v in ball(BASE, R), in ball order."""
         for v in ball(BASE, R, self.d):
@@ -544,7 +541,7 @@ def power(g: Automorphism, n: int) -> Automorphism:
 
 # --- displacement classification ---
 
-#: classify's default step bound R = base + per_unit * d(e, g e), as (base,
+#: classify's step bound R = base + per_unit * d(e, g e), as (base,
 #: per_unit).  The displacement drops at every step of the midpoint
 #: iteration, so d(e, g e) steps already suffice; the rest is margin.
 CLASSIFY_STEP_BOUND = (4, 2)
@@ -569,22 +566,20 @@ class Loxodromic:
 MoveClass = Elliptic | InversionMove | Loxodromic
 
 
-def classify(g: Automorphism, R: Optional[int] = None) -> MoveClass:
+def classify(g: Automorphism) -> MoveClass:
     """Elliptic / inversion / loxodromic classification by the midpoint
     iteration: replace v by the midpoint of [v, g v] (testing both
     endpoints when the midpoint is an edge) while the displacement
     decreases.  The final displacement is 0 for elliptic elements, 1 for
     inversions (with g swapping the last edge), and the translation
-    length for loxodromics (certified by d(v, g^2 v) = 2 length)."""
+    length for loxodromics (certified by d(v, g^2 v) = 2 length).
+    CLASSIFY_STEP_BOUND bounds the number of steps."""
     v = BASE
     disp = distance(v, g.apply(v))
-    if R is None:
-        base, per_unit = CLASSIFY_STEP_BOUND
-        R = base + per_unit * disp
-        bound = (f"{R} steps (CLASSIFY_STEP_BOUND: {base} + {per_unit} * "
-                 f"displacement {disp})")
-    else:
-        bound = f"{R} steps"
+    base, per_unit = CLASSIFY_STEP_BOUND
+    R = base + per_unit * disp
+    bound = (f"{R} steps (CLASSIFY_STEP_BOUND: {base} + {per_unit} * "
+             f"displacement {disp})")
     for _ in range(R + 1):
         if disp == 0:
             return Elliptic(v)
@@ -606,10 +601,10 @@ def classify(g: Automorphism, R: Optional[int] = None) -> MoveClass:
         f"iteration stalled at displacement {disp} without certifying a class")
 
 
-def eta(g: Automorphism, at: Vertex = BASE) -> int:
-    """Parity of the displacement length; a homomorphism to Z/2 and
-    independent of the chosen vertex since T is bipartite."""
-    return distance(at, g.apply(at)) % 2
+def eta(g: Automorphism) -> int:
+    """Parity of the displacement of the base vertex; a homomorphism to
+    Z/2, and the parity at any vertex since T is bipartite."""
+    return distance(BASE, g.apply(BASE)) % 2
 
 
 # --- membership in U(F'), G(F), G(F,F') ---

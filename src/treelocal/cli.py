@@ -3,7 +3,9 @@
 Subcommand style: ``treelocal <group|branch|element|qm|chains|tree> ...``.
 All results go to stdout as JSON (or flat text with --format text),
 diagnostics to stderr.  Exit codes: 0 success / complete evidence,
-1 invalid input, 2 incomplete evidence (search bounds exhausted).
+1 invalid input or usage, 2 incomplete evidence (search bounds exhausted).
+Every invalid input, a usage error included, ends in one ``error:`` line
+on stderr.
 
 The TREELOCAL_CONFIG environment variable names a JSON file with
 default run-configuration fields; --config overrides it.
@@ -24,7 +26,6 @@ from .tree import Vertex, ball
 from .autom import (
     Elliptic,
     InversionMove,
-    Loxodromic,
     certify_membership,
     classify,
     eta,
@@ -49,6 +50,7 @@ from .serialize import (
     decode_element,
     decode_group_spec,
     decode_segment,
+    decode_vertex,
     dot_ball,
 )
 
@@ -58,7 +60,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCOMPLETE = 2
 
-# what a handler reports as invalid input (exit 1) instead of a traceback
+# what main reports as invalid input (exit 1) instead of a traceback
 INPUT_ERRORS = (TreeLocalError, OSError, json.JSONDecodeError, ValueError)
 
 
@@ -128,10 +130,8 @@ def _classify_dict(cls) -> dict:
     if isinstance(cls, InversionMove):
         return {"class": "inversion",
                 "edge": {"near": str(cls.edge.near), "color": cls.edge.color}}
-    if isinstance(cls, Loxodromic):
-        return {"class": "loxodromic", "length": cls.length,
-                "axis_point": str(cls.axis_point)}
-    raise TreeLocalError(f"unknown move class {cls!r}")
+    return {"class": "loxodromic", "length": cls.length,
+            "axis_point": str(cls.axis_point)}
 
 
 def _element_from_args(args, d: int, ctx=None):
@@ -148,29 +148,19 @@ def _element_from_args(args, d: int, ctx=None):
 
 
 def cmd_group_validate(args) -> int:
-    try:
-        spec = _load_json_file(args.spec)
-        d, f_gens, fp_gens = decode_group_spec(spec)
-        report, ctx = validate_inputs(d, f_gens, fp_gens,
-                                      relaxed_orbit_check=args.relaxed_orbits)
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    d, f_gens, fp_gens = decode_group_spec(_load_json_file(args.spec))
+    report, ctx = validate_inputs(d, f_gens, fp_gens)
     _emit(report.to_dict(), args.format)
     return EXIT_OK if ctx is not None else EXIT_INVALID
 
 
 def cmd_branch(args) -> int:
-    try:
-        spec = _load_json_file(args.spec)
-        d, f_gens, fp_gens = decode_group_spec(spec)
-        report, ctx = validate_inputs(d, f_gens, fp_gens)
-        if ctx is None:
-            _emit(report.to_dict(), args.format)
-            return EXIT_INVALID
-        cfg = _run_config(args)
-        branch = theorem1_branch(ctx, cfg)
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    d, f_gens, fp_gens = decode_group_spec(_load_json_file(args.spec))
+    report, ctx = validate_inputs(d, f_gens, fp_gens)
+    if ctx is None:
+        _emit(report.to_dict(), args.format)
+        return EXIT_INVALID
+    branch = theorem1_branch(ctx, _run_config(args))
     out = branch.to_dict()
     if args.evidence == "summary":
         out["evidence"] = {k: {"pass": v.get("pass", False)}
@@ -180,115 +170,100 @@ def cmd_branch(args) -> int:
 
 
 def cmd_element(args) -> int:
-    try:
-        ctx = context_from_spec(_load_json_file(args.spec)) if args.spec else None
-        d = ctx.d if ctx is not None else args.d
-        g = _element_from_args(args, d, ctx)
-        if args.element_cmd == "build":
-            out = {"ok": True, "expression": g.describe(),
-                   "base_image": str(g.apply(Vertex()))}
-        elif args.element_cmd == "classify":
-            out = _classify_dict(classify(g))
-            out["eta"] = eta(g)
-        elif args.element_cmd == "apply":
-            v = Vertex.parse(args.vertex)
-            out = {"vertex": str(v), "image": str(g.apply(v))}
-        elif args.element_cmd == "certify":
-            if ctx is None:
-                return _fail("certify needs --spec with the group pair")
-            cert = certify_membership(g, ctx.F, ctx.Fp, args.radius)
-            out = {
-                "radius": cert.radius,
-                "singular": [str(v) for v in cert.singular_in_radius],
-                "in_Uprime": cert.in_Uprime_in_radius,
-                "exact": cert.exact,
-            }
-        else:
-            return _fail(f"unknown element subcommand {args.element_cmd!r}")
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    ctx = context_from_spec(_load_json_file(args.spec)) if args.spec else None
+    d = ctx.d if ctx is not None else args.d
+    g = _element_from_args(args, d, ctx)
+    if args.element_cmd == "build":
+        out = {"ok": True, "expression": g.describe(),
+               "base_image": str(g.apply(Vertex()))}
+    elif args.element_cmd == "classify":
+        out = _classify_dict(classify(g))
+        out["eta"] = eta(g)
+    elif args.element_cmd == "apply":
+        v = decode_vertex(args.vertex, d)
+        out = {"vertex": str(v), "image": str(g.apply(v))}
+    else:
+        if ctx is None:
+            return _fail("certify needs --spec with the group pair")
+        cert = certify_membership(g, ctx.F, ctx.Fp, args.radius)
+        out = {
+            "radius": cert.radius,
+            "singular": [str(v) for v in cert.singular_in_radius],
+            "in_Uprime": cert.in_Uprime_in_radius,
+            "exact": cert.exact,
+        }
     _emit(out, args.format)
     return EXIT_OK
 
 
 def cmd_qm(args) -> int:
-    try:
-        ctx = context_from_spec(_load_json_file(args.spec))
-        if args.qm_cmd == "independence":
-            cert = independence_search(ctx, args.rank, args.max_seg, args.bound)
-            if cert is None:
-                _emit({"rank": 0, "target": args.rank,
-                       "detail": "search exhausted"}, args.format)
-                return EXIT_INCOMPLETE
-            _emit(cert.to_dict(), args.format)
-            return EXIT_OK
-        s = decode_segment(_parse_json(args.segment))
-        base = Vertex.parse(args.base)
-        f = MedianQM(s, base, ctx)
-        g = _element_from_args(args, ctx.d, ctx)
-        if args.qm_cmd == "eval":
-            res = eval_qm(f, g)
-            out = {"value": res.value, "forward": res.forward_count,
-                   "backward": res.backward_count}
-        elif args.qm_cmd == "homogenize":
-            out = {"homogenize": homogenize(f, g)}
-            if args.limit:
-                out["limit"] = [str(q) for q in homogenize_limit(f, g, args.limit)]
-        else:
-            return _fail(f"unknown qm subcommand {args.qm_cmd!r}")
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    ctx = context_from_spec(_load_json_file(args.spec))
+    if args.qm_cmd == "independence":
+        cert = independence_search(ctx, args.rank, args.max_seg, args.bound)
+        if cert is None:
+            _emit({"rank": 0, "target": args.rank,
+                   "detail": "search exhausted"}, args.format)
+            return EXIT_INCOMPLETE
+        _emit(cert.to_dict(), args.format)
+        return EXIT_OK
+    s = decode_segment(_parse_json(args.segment), ctx.d)
+    f = MedianQM(s, decode_vertex(args.base, ctx.d), ctx)
+    g = _element_from_args(args, ctx.d, ctx)
+    if args.qm_cmd == "eval":
+        res = eval_qm(f, g)
+        out = {"value": res.value, "forward": res.forward_count,
+               "backward": res.backward_count}
+    else:
+        out = {"homogenize": homogenize(f, g)}
+        if args.limit:
+            out["limit"] = [str(q) for q in homogenize_limit(f, g, args.limit)]
     _emit(out, args.format)
     return EXIT_OK
 
 
 def cmd_chains(args) -> int:
-    try:
-        if args.chains_cmd == "restriction":
-            ctx = context_from_spec(_load_json_file(args.spec))
-            report = restriction_correspondence_check(ctx, args.radius,
-                                                      args.degree)
-            _emit(report, args.format)
-            return EXIT_OK if not report["failures"] else EXIT_INCOMPLETE
-        points = tuple(Vertex.parse(p) for p in args.points.split(","))
-        w = ComplexWindow(points, args.max_degree)
-        if args.chains_cmd == "exactness":
-            out = {"exact": exactness_check(w),
-                   "points": [str(p) for p in points],
-                   "max_degree": args.max_degree}
-        elif args.chains_cmd == "aligned":
-            basis = aligned_basis(w, args.degree)
-            out = {
-                "degree": args.degree,
-                "aligned_basis": [[str(v) for v in t] for t in basis],
-                "closed_under_boundary": aligned_closure_check(w, args.degree),
-            }
-        else:
-            return _fail(f"unknown chains subcommand {args.chains_cmd!r}")
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc))
+    if args.chains_cmd == "restriction":
+        ctx = context_from_spec(_load_json_file(args.spec))
+        report = restriction_correspondence_check(ctx, args.radius, args.degree)
+        _emit(report, args.format)
+        return EXIT_OK if not report["failures"] else EXIT_INCOMPLETE
+    points = tuple(Vertex.parse(p) for p in args.points.split(","))
+    w = ComplexWindow(points, args.max_degree)
+    if args.chains_cmd == "exactness":
+        out = {"exact": exactness_check(w),
+               "points": [str(p) for p in points],
+               "max_degree": args.max_degree}
+    else:
+        basis = aligned_basis(w, args.degree)
+        out = {
+            "degree": args.degree,
+            "aligned_basis": [[str(v) for v in t] for t in basis],
+            "closed_under_boundary": aligned_closure_check(w, args.degree),
+        }
     _emit(out, args.format)
     return EXIT_OK
 
 
 def cmd_tree(args) -> int:
-    try:
-        center = Vertex.parse(args.center)
-        if args.tree_cmd == "dot":
-            print(dot_ball(args.d, args.radius, center))
-            return EXIT_OK
-        if args.tree_cmd == "ball":
-            vertices = [str(v) for v in ball(center, args.radius, args.d)]
-            _emit({"d": args.d, "radius": args.radius, "count": len(vertices),
-                   "vertices": vertices}, args.format)
-            return EXIT_OK
-        return _fail(f"unknown tree subcommand {args.tree_cmd!r}")
-    except (TreeLocalError, ValueError) as exc:
-        return _fail(str(exc))
+    center = decode_vertex(args.center, args.d)
+    if args.tree_cmd == "dot":
+        print(dot_ball(args.d, args.radius, center))
+    else:
+        vertices = [str(v) for v in ball(center, args.radius, args.d)]
+        _emit({"d": args.d, "radius": args.radius, "count": len(vertices),
+               "vertices": vertices}, args.format)
+    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as invalid input."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treelocal",
         description="Exact computation with tree automorphisms having "
                     "almost prescribed local actions.")
@@ -299,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     group_sub = p_group.add_subparsers(dest="group_cmd", required=True)
     p_validate = group_sub.add_parser("validate")
     p_validate.add_argument("spec", help="group-spec JSON file")
-    p_validate.add_argument("--relaxed-orbits", action="store_true")
 
     p_branch = sub.add_parser("branch", help="run the dichotomy pipeline")
     p_branch.add_argument("spec")
@@ -378,7 +352,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     handlers = {"group": cmd_group_validate, "branch": cmd_branch,
                 "element": cmd_element, "qm": cmd_qm, "chains": cmd_chains,
                 "tree": cmd_tree}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except INPUT_ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -70,7 +70,6 @@ class GroupContext:
     d: int
     F: PermGroup
     Fp: PermGroup
-    relaxed_orbits: bool = False
     # F'-orbital of every ordered pair (x, y), numbered by first pair met
     orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
                                                 compare=False)
@@ -86,7 +85,7 @@ class GroupContext:
             raise TreeLocalError("F must be a subgroup of F'")
         if self.F.order == self.Fp.order:
             raise TreeLocalError("F must be a proper subgroup of F'")
-        if not self.relaxed_orbits and not preserves_orbits(self.F, self.Fp):
+        if not preserves_orbits(self.F, self.Fp):
             raise TreeLocalError("F' must preserve the orbits of F")
         self.orbital = {}
         ident = itertools.count()
@@ -130,10 +129,9 @@ def colors_matchable(ctx: GroupContext, a: tuple[int, ...],
     return ctx.orbital_word(a) == ctx.orbital_word(b)
 
 
-def is_translate(ctx: GroupContext, s: Segment, s2: Segment,
-                 oriented: bool = True) -> bool:
-    """Whether some element of G(F,F') carries s onto s2 (as oriented
-    segments; the unoriented variant also tries the reversal).
+def is_translate(ctx: GroupContext, s: Segment, s2: Segment) -> bool:
+    """Whether some element of G(F,F') carries s onto s2 as oriented
+    segments.
 
     Soundness: restricting such an element to s gives the slot
     permutations.  Completeness: a slotwise match extends to a global
@@ -141,14 +139,7 @@ def is_translate(ctx: GroupContext, s: Segment, s2: Segment,
     gets a valid least-F fill.  Start vertices are irrelevant: word
     translations are color-transparent and act transitively on vertices.
     """
-    a, b = s.colors, s2.colors
-    if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} vs {len(b)}")
-    if colors_matchable(ctx, a, b):
-        return True
-    if not oriented:
-        return colors_matchable(ctx, a, tuple(reversed(b)))
-    return False
+    return colors_matchable(ctx, s.colors, s2.colors)
 
 
 def is_translate_bruteforce(ctx: GroupContext, s: Segment, s2: Segment) -> bool:

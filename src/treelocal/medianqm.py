@@ -331,15 +331,22 @@ def find_nonvanishing_qm(
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
-    """Homogenized values of median quasimorphisms (rows) on elements
-    (columns), with the matrix's exact rank: a lower bound on the rank of
-    the rows as homogeneous quasimorphisms.  Their classes in H^2_b(G; R)
-    are independent only modulo Hom(G, R), the kernel of the map from
-    homogeneous quasimorphisms to H^2_b(G; R); nothing here checks that no
-    combination of the rows is a homomorphism."""
+    """Homogenized values of median quasimorphisms (rows) on word
+    translations (columns), with the matrix's exact rank r.
+
+    Lemma: the rows' classes in H^2_b(G; R) span a space of dimension at
+    least r.  The kernel of the map from homogeneous quasimorphisms to
+    H^2_b(G; R) is Hom(G, R).  The columns lie in the group W of word
+    translations, W = *_d Z/2, which is generated by the one-letter
+    translations, all involutions; a homomorphism phi: G -> R has
+    2 phi(s) = phi(s^2) = 0 for an involution s, so it vanishes on W.
+    Take r rows of M that are linearly independent.  If sum c_i h_i over
+    them is some phi, evaluating on the columns gives sum c_i M_ij = 0 for
+    every j, so every c_i is 0.  That the rows are homogeneous
+    quasimorphisms on G rests on the paper and is not checked here."""
 
     qms: tuple[MedianQM, ...]
-    elements: tuple[Automorphism, ...]
+    elements: tuple[WordTranslation, ...]
     matrix: tuple[tuple[int, ...], ...]
     rank: int
 
@@ -353,12 +360,16 @@ class IndependenceCertificate:
 
 
 def independence_certificate(qms: Sequence[MedianQM],
-                             elements: Sequence[Automorphism]) -> IndependenceCertificate:
-    """Matrix of homogenized values and its exact rank: a lower
-    bound on the number of linearly independent homogeneous
-    quasimorphisms among the rows."""
+                             elements: Sequence[WordTranslation]) -> IndependenceCertificate:
+    """Matrix of homogenized values and its exact rank: a lower bound on
+    the dimension the rows span in H^2_b(G; R) (see
+    IndependenceCertificate).  A column outside the word translations is
+    refused, since the lemma needs every column in W."""
     if not qms:
         raise TreeLocalError("need at least one quasimorphism")
+    for g in elements:
+        if not isinstance(g, WordTranslation):
+            raise TreeLocalError(f"column {g.describe()} is not a word translation")
     matrix = tuple(tuple(homogenize(f, g) for g in elements) for f in qms)
     return IndependenceCertificate(
         qms=tuple(qms), elements=tuple(elements),
@@ -368,8 +379,9 @@ def independence_certificate(qms: Sequence[MedianQM],
 def independence_search(ctx: GroupContext, target_rank: int, max_seg: int,
                         search_bound: int) -> Optional[IndependenceCertificate]:
     """Search for target_rank linearly independent homogenized median
-    quasimorphisms; see IndependenceCertificate for what that rank does
-    and does not say about H^2_b(G; R).
+    quasimorphisms.  The columns are word translations, so by the lemma
+    of IndependenceCertificate the rank also bounds the dimension the rows
+    span in H^2_b(G; R).
 
     Greedy: walk the segment orbit representatives; for each, scan word
     translations and accept the first (representative, word) pair whose

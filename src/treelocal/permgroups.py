@@ -183,12 +183,6 @@ class PermGroup:
             raise DegreeMismatch(f"{self.degree} vs {other.degree}")
         return self._element_set <= other._element_set
 
-    def __le__(self, other: "PermGroup") -> bool:
-        return self.is_subgroup_of(other)
-
-    def __lt__(self, other: "PermGroup") -> bool:
-        return self.is_subgroup_of(other) and self.order < other.order
-
 
 def generate(generators: Sequence[Permutation], d: int) -> PermGroup:
     """Materialize the subgroup generated by ``generators`` inside Sym(d)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import TreeLocalError
+from .errors import OutOfRange, TreeLocalError
 from .permgroups import generate, parse_cycles
 from .tree import (
     EventuallyPeriodic,
@@ -61,29 +61,40 @@ def _list_of(obj, key: str, what: str, kind: type) -> list:
     return value
 
 
-def _colors(obj, key: str, what: str) -> tuple[int, ...]:
-    return tuple(_list_of(obj, key, what, int))
+def _in_range(letters: tuple[int, ...], d: int, what: str) -> tuple[int, ...]:
+    if any(not 1 <= k <= d for k in letters):
+        raise OutOfRange(f"{what} has colors outside 1..{d}: {list(letters)}")
+    return letters
+
+
+def _colors(obj, key: str, what: str, d: int) -> tuple[int, ...]:
+    return _in_range(tuple(_list_of(obj, key, what, int)), d, f"{what} {key!r}")
 
 
 # --- tree types ---
+
+
+def decode_vertex(text: str, d: int) -> Vertex:
+    """The vertex of its text, refused when a letter lies outside 1..d."""
+    return _in_range(Vertex.parse(text), d, f"vertex {text!r}")
 
 
 def encode_segment(s: Segment) -> dict:
     return {"start": str(s.start), "colors": list(s.colors)}
 
 
-def decode_segment(obj: dict) -> Segment:
-    return Segment(Vertex.parse(_field(obj, "start", "segment", str)),
-                   _colors(obj, "colors", "segment"))
+def decode_segment(obj: dict, d: int) -> Segment:
+    return Segment(decode_vertex(_field(obj, "start", "segment", str), d),
+                   _colors(obj, "colors", "segment", d))
 
 
-def decode_line(obj: dict) -> LineSpec:
+def decode_line(obj: dict, d: int) -> LineSpec:
     def seq(key: str) -> EventuallyPeriodic:
         o = _field(obj, key, "line", dict)
-        pre = _colors(o, "pre", f"line {key}") if "pre" in o else ()
-        return EventuallyPeriodic(pre, _colors(o, "period", f"line {key}"))
+        pre = _colors(o, "pre", f"line {key}", d) if "pre" in o else ()
+        return EventuallyPeriodic(pre, _colors(o, "period", f"line {key}", d))
 
-    return LineSpec(Vertex.parse(_field(obj, "anchor", "line", str)),
+    return LineSpec(decode_vertex(_field(obj, "anchor", "line", str), d),
                     seq("forward"), seq("backward"))
 
 
@@ -137,7 +148,7 @@ def _element(obj: dict, d: int, ctx: Optional[GroupContext],
     if op == "diag":
         return Diagonal(parse_cycles(text("perm"), d))
     if op == "subdiag":
-        return SubtreeDiagonal(Vertex.parse(text("at")),
+        return SubtreeDiagonal(decode_vertex(text("at"), d),
                                parse_cycles(text("perm"), d))
     if op == "compose":
         raw = _field(obj, "args", what, list)
@@ -152,8 +163,12 @@ def _element(obj: dict, d: int, ctx: Optional[GroupContext],
         return Inverse(_element(_field(obj, "arg", what), d, ctx, depth + 1))
     if op == "patched":
         base = _element(_field(obj, "base", what), d, ctx, depth + 1)
-        overrides = {Vertex.parse(v): parse_cycles(p, d)
-                     for v, p in _field(obj, "overrides", what, list)}
+        pairs = _field(obj, "overrides", what, list)
+        if not all(isinstance(e, list) and len(e) == 2
+                   and all(isinstance(x, str) for x in e) for e in pairs):
+            raise TreeLocalError(f"{what} key 'overrides' must be a list of "
+                                 f"[vertex, cycles] string pairs")
+        overrides = {decode_vertex(v, d): parse_cycles(p, d) for v, p in pairs}
         return Patched(base, overrides)
     if op == "line":
         if ctx is None:
@@ -161,7 +176,7 @@ def _element(obj: dict, d: int, ctx: Optional[GroupContext],
                 raise TreeLocalError("line element needs a group context")
             ctx = context_from_spec(_field(obj, "spec", what, dict))
         if "line" in obj:
-            L = decode_line(_field(obj, "line", what))
+            L = decode_line(_field(obj, "line", what), ctx.d)
         else:
             L = build_line(ctx)
         kind = obj.get("kind", "t")

@@ -152,16 +152,6 @@ class Segment:
             out.append(neighbor(out[-1], k))
         return out
 
-    @property
-    def end(self) -> Vertex:
-        v = self.start
-        for k in self.colors:
-            v = neighbor(v, k)
-        return v
-
-    def reversed(self) -> "Segment":
-        return Segment(self.end, tuple(reversed(self.colors)))
-
 
 def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:
     """The step colors of the geodesic from u to v, lazily: up from u to

@@ -54,16 +54,10 @@ class TestValidateInputs:
 
     def test_relaxed_orbit_reading(self):
         # F' permutes the two F-orbit blocks {1,2} and {3,4} without
-        # preserving them setwise
+        # preserving them setwise, so the pair is refused
         report, ctx = validate_inputs(
-            4, ["(1 2)(3 4)"], ["(1 2)(3 4)", "(1 3)(2 4)"],
-            relaxed_orbit_check=True)
-        assert report.orbits_preserved
-        assert ctx is not None
-        # the strict reading rejects the same pair
-        strict, strict_ctx = validate_inputs(
             4, ["(1 2)(3 4)"], ["(1 2)(3 4)", "(1 3)(2 4)"])
-        assert not strict.orbits_preserved and strict_ctx is None
+        assert not report.orbits_preserved and ctx is None
 
     def test_report_dict_shape(self):
         report, _ = validate_inputs(3, ["(1 2 3)"], ["(1 2 3)", "(1 2)"])

@@ -218,8 +218,6 @@ class TestClassify:
                            match=r"0 steps \(CLASSIFY_STEP_BOUND: 0 \+ 0 \* "
                                  r"displacement 8\)"):
             classify(g)
-        with pytest.raises(RadiusExhausted, match=r"within 0 steps$"):
-            classify(g, R=0)
 
     def test_length_against_minimal_displacement(self):
         rng = random.Random(17)
@@ -254,7 +252,7 @@ class TestEta:
         for _ in range(25):
             g = random_composite(rng, 4, 3)
             v = random_reduced_word(rng, 4, rng.randint(0, 4))
-            assert eta(g, at=v) == eta(g)
+            assert distance(v, g.apply(v)) % 2 == eta(g)
 
 
 class TestMembership:

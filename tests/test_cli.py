@@ -14,6 +14,7 @@ SPEC3 = {"d": 3, "F": ["(1 2 3)"], "Fprime": ["(1 2 3)", "(1 2)"]}
 SPEC4 = {"d": 4, "F": ["(1 2 3 4)"], "Fprime": ["(1 2 3 4)", "(1 2)"]}
 SPECD4 = {"d": 4, "F": ["(1 2 3 4)"], "Fprime": ["(1 2 3 4)", "(1 3)"]}
 BAD = {"d": 3, "F": ["(1 2)"], "Fprime": ["(1 2 3)", "(1 2)"]}
+WORD = '{"op": "word", "w": "1.2"}'
 
 
 @pytest.fixture
@@ -332,10 +333,34 @@ class TestMalformedInput:
         ("qm", "eval", "--segment", '{"start": "e", "colors": [1, 7]}',
          "--word", "1.2"),
         ("qm", "independence", "--bound", "13"),
+        # vertex letters and line colors outside 1..d
+        ("element", "build", "--element",
+         '{"op": "subdiag", "at": "5", "perm": "(1 2)"}'),
+        ("element", "apply", "--element", '{"op": "diag", "perm": "(1 2)"}',
+         "--vertex", "5"),
+        ("element", "classify", "--spec", "SPEC", "--element",
+         '{"op": "line", "line": {"anchor": "e", "forward": {"period": [7, 8]},'
+         ' "backward": {"period": [8, 7]}}}'),
+        ("element", "classify", "--spec", "SPEC", "--element",
+         '{"op": "line", "line": {"anchor": "5", "forward": {"period": [1, 2]},'
+         ' "backward": {"period": [2, 1]}}}'),
+        ("element", "apply", "--word", "1.2", "--vertex", "5.0"),
+        ("tree", "ball", "--radius", "1", "--center", "7"),
+        ("qm", "eval", "--segment", '{"start": "5", "colors": [1]}',
+         "--word", "1.2"),
+        ("qm", "eval", "--segment", '{"start": "e", "colors": [1]}',
+         "--base", "9", "--word", "1.2"),
+        ("element", "build", "--element", '{"op": "patched", "base": ' + WORD
+         + ', "overrides": [["4", "(1 2)"]]}'),
+        ("element", "build", "--element", '{"op": "patched", "base": ' + WORD
+         + ', "overrides": [[4, "(1 2)"]]}'),
+        ("element", "build", "--element", '{"op": "patched", "base": ' + WORD
+         + ', "overrides": [1]}'),
     ])
     def test_exits_1_with_one_line(self, capsys, specd4, argv):
         if argv[0] == "qm":
             argv = argv[:2] + ("--spec", specd4) + argv[2:]
+        argv = tuple(specd4 if a == "SPEC" else a for a in argv)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVALID
         assert out == ""
@@ -359,8 +384,25 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("branch", "x.json", "--bogus"),
+        ("element", "classify", "--word", "1.2", "--d", "x"),
+        (),
+        ("group", "validate", "x.json", "--relaxed-orbits"),
+    ])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
-WORD = '{"op": "word", "w": "1.2"}'
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["element", "apply", "--help"])
+        assert exc.value.code == 0
+        assert "--vertex" in capsys.readouterr().out
 
 
 def nested_inverse(n: int) -> str:

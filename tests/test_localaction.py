@@ -168,11 +168,6 @@ class TestIsTranslate:
         s2 = Segment(BASE, (2, 1))
         assert is_translate(ctxd4, s1, s2)
 
-    def test_unoriented_uses_reversal(self, ctxd4):
-        s = Segment(BASE, (1, 2, 1))
-        back = s.reversed()
-        assert is_translate(ctxd4, s, back, oriented=False)
-
 
 class TestTransport:
     def test_segment_transport_maps_vertices(self, ctx3):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelocal.errors import SizeLimitExceeded
-from treelocal.autom import Compose, Inverse, WordTranslation, power
+from treelocal.errors import SizeLimitExceeded, TreeLocalError
+from treelocal.autom import Compose, Diagonal, Inverse, WordTranslation, power
 from treelocal import medianqm, ratmat
 from treelocal.analysis import RunConfig
 from treelocal.medianqm import (
@@ -24,10 +24,12 @@ from treelocal.medianqm import (
     independence_search,
 )
 from treelocal.medianqm import _axis_words
+from treelocal.permgroups import parse_cycles
 from treelocal.tree import BASE, Segment, Vertex, reduced_words
 
 from conftest import (
     SlotwiseMatcher,
+    equal_on_ball,
     fraction_pivot_positions,
     pairwise_census,
     random_composite,
@@ -176,6 +178,28 @@ class TestIndependence:
         # reversal-count functionals of length-5 segments are all
         # proportional, so no element choice can push past rank 1
         assert independence_search(ctxd4, 2, 5, 8) is None
+
+    # the lemma of IndependenceCertificate: its columns lie in the group W
+    # of word translations, generated by involutions, so Hom(G, R) vanishes
+    # on them
+    def test_search_columns_are_word_translations(self, ctxd4):
+        cert = independence_search(ctxd4, 3, 6, 8)
+        assert cert.rank == 3
+        assert all(type(g) is WordTranslation for g in cert.elements)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_letter_translations_are_involutions(self, d):
+        identity = WordTranslation(BASE, d)
+        for k in range(1, d + 1):
+            s = WordTranslation(Vertex((k,)), d)
+            assert equal_on_ball(Compose(s, s), identity, 4)
+
+    def test_column_outside_word_translations_refused(self, ctxd4):
+        qms = [MedianQM(Segment(BASE, s), BASE, ctxd4) for s in self.SEGMENTS]
+        els = [word_element(w, 4) for w in self.WORDS]
+        els[1] = Compose(els[1], Diagonal(parse_cycles("(1 3)", 4)))
+        with pytest.raises(TreeLocalError, match="not a word translation"):
+            independence_certificate(qms, els)
 
 
 class TestWordEnumeration:

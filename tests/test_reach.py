@@ -1,6 +1,8 @@
 """Every public module-level function and class of treelocal is reached by
 the library itself: another module reads it, or its own module reads it
-outside its definition.  Names kept for other readers are listed below."""
+outside its definition.  Every public method that is not a dunder is read
+as an attribute outside its own definition.  Names kept for other readers
+are listed below."""
 
 import ast
 import pathlib
@@ -16,6 +18,12 @@ EXEMPT = {
     "chains.random_chain": "the acceptance tests draw their chains with it",
     "permgroups.all_subgroups": "the benchmark and the tests enumerate pairs with it",
     "localaction.segment_transport": "the constructive form of is_translate; tests check its elements",
+}
+
+# module.Class.method -> why it stays although no module of treelocal reads it
+METHOD_EXEMPT = {
+    "chains.AlternatingChain.is_zero": "the acceptance tests judge chains with it",
+    "cli._Parser.error": "argparse calls it on a usage error",
 }
 
 
@@ -42,6 +50,27 @@ def unreached(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """The public methods of the top-level classes, as module.Class.name,
+    whose name no attribute read outside their own definition reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("_")):
+                    continue
+                own = set(map(id, ast.walk(node)))
+                if not any(n.attr == node.name and id(n) not in own for n in reads):
+                    out.append(f"{module}.{cls.name}.{node.name}")
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -65,3 +94,27 @@ def test_detector_flags_unreached_names():
               "def g(x):\n    return x.f\n"),
     }
     assert unreached(sources) == ["a.recursive", "a.caller", "b.f", "b.g"]
+
+
+def test_every_public_method_is_read():
+    found = set(unread_methods({p.stem: p.read_text() for p in MODULES}))
+    assert sorted(found - METHOD_EXEMPT.keys()) == []
+    assert sorted(METHOD_EXEMPT.keys() - found) == []
+
+
+def test_detector_flags_unread_methods():
+    sources = {
+        "a": ("class P:\n"
+              "    def used(self):\n        return self.helper()\n"
+              "    def helper(self):\n        return 1\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    @property\n"
+              "    def size(self):\n        return 0\n"
+              "    def _private(self):\n        return 0\n"
+              "    def __len__(self):\n        return 0\n"),
+        "b": ("def f(p):\n    return p.used, p.size\n"
+              "def g(p):\n    p.store = 1\n"
+              "class Q:\n"
+              "    def store(self):\n        return 0\n"),
+    }
+    assert unread_methods(sources) == ["a.P.recursive", "b.Q.store"]

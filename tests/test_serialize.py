@@ -43,12 +43,12 @@ class TestRoundTrips:
 
     def test_segment(self):
         s = Segment(Vertex((2,)), (1, 3, 1))
-        assert decode_segment(encode_segment(s)) == s
+        assert decode_segment(encode_segment(s), 3) == s
 
     def test_line(self):
         ctx = context_from_spec(SPEC3)
         L = build_line(ctx)
-        L2 = decode_line(line_json(L))
+        L2 = decode_line(line_json(L), ctx.d)
         assert all(L2.vertex(i) == L.vertex(i) for i in range(-6, 7))
 
 
