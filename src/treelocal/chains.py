@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import HypothesisUnverified, SizeLimitExceeded, TreeLocalError
 from .localaction import (
@@ -31,15 +31,16 @@ from .localaction import (
     translation_t,
     transport_into_line,
 )
-from .autom import Compose, power
+from .autom import Automorphism, Compose, power
 from .ratmat import rank
 from .tree import (
     BASE,
     Segment,
     Vertex,
     ball,
-    distance,
     geodesic,
+    geodesic_colors,
+    neighbor,
     vertex_key,
 )
 
@@ -208,6 +209,28 @@ def random_chain(w: ComplexWindow, n: int, rng: random.Random) -> AlternatingCha
     return AlternatingChain.build(n, raw)
 
 
+def _distance_rows(points: Sequence[Vertex]) -> Iterator[list[int]]:
+    """For each i, the distances from points[i] to points[i + 1:].
+
+    The points must be convex and listed by distance from points[0], as
+    ball lists a ball.  Then the neighbor of each later point toward
+    points[0] comes before it, and the step from that neighbor to the
+    point nears a = points[i] exactly when the point lies on [points[0],
+    a].  So a row is one pass over the points, with no distance call."""
+    order = {p: k for k, p in enumerate(points)}
+    parent = [0] + [order[neighbor(p, next(geodesic_colors(p, points[0])))]
+                    for p in points[1:]]
+    for i in range(len(points)):
+        on_path, k = {0}, i
+        while k:
+            on_path.add(k)
+            k = parent[k]
+        dist = [len(on_path) - 1]
+        for j in range(1, len(points)):
+            dist.append(dist[parent[j]] + (-1 if j in on_path else 1))
+        yield dist[i + 1:]
+
+
 def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
                     rng: random.Random) -> list[tuple[tuple[Vertex, ...], Segment]]:
     """Up to cap aligned size-tuples of the points, each with its span
@@ -219,12 +242,15 @@ def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
     inside it, so the pair (a, b), as the extreme pair, spans
     comb(d(a, b) - 1, size - 2) tuples (one when size is 2; a single
     point spans the length-0 geodesic [v, v]).  The ranks run pair-major
-    over itertools.combinations(points, 2), and a rank is mapped to its
-    pair by bisection on the cumulative weights and to the inside
-    vertices by their combination of that rank, so the window's tuples
-    are never listed.  Entries keep the order of points, and the tuples
-    are sorted by it: with at most cap tuples, the list is
-    aligned_tuples(points, size).
+    over itertools.combinations(points, 2), whose weights come a row at a
+    time from _distance_rows.  A rank is mapped to its pair by bisection
+    on the cumulative weights and to the inside vertices by their
+    combination of that rank, so the window's tuples are never listed.
+    Entries keep the order of points, and the tuples are sorted by it:
+    with at most cap tuples, the list is aligned_tuples(points, size).
+
+    Each drawn span is walked once, here, and keeps its walk (Segment
+    caches it), so a transport of the span reads the same vertices.
     """
     if size < 1:
         raise TreeLocalError("an aligned tuple needs at least one point")
@@ -232,7 +258,8 @@ def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
         pairs, weights = [(p, p) for p in points], [1] * len(points)
     else:
         pairs = list(itertools.combinations(points, 2))
-        weights = [math.comb(distance(a, b) - 1, size - 2) for a, b in pairs]
+        weights = [math.comb(x - 1, size - 2)
+                   for row in _distance_rows(points) for x in row]
     ends = list(itertools.accumulate(weights))
     total = ends[-1] if ends else 0
     picks = range(total) if total <= cap else rng.sample(range(total), cap)
@@ -292,6 +319,8 @@ def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
         raise HypothesisUnverified("line stabilizer not edge-transitive on window")
 
     sample = _aligned_sample(points, n + 1, sample_cap, random.Random(seed))
+    # the stabilizer element of each shift, built on first use
+    shifts: dict[int, Automorphism] = {}
     transported = 0
     consistent = 0
     failures: list[str] = []
@@ -311,7 +340,9 @@ def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
         if (j2 - j) % 2 != 0:
             failures.append(f"tuple {tup}: parity mismatch between transports")
             continue
-        h = power(t, (j2 - j) // 2)
+        h = shifts.get(j2 - j)
+        if h is None:
+            h = shifts[j2 - j] = power(t, (j2 - j) // 2)
         if all(h.apply(x) == y for x, y in zip(images, images2)):
             consistent += 1
         else:

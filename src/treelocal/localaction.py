@@ -193,13 +193,18 @@ def segment_transport(ctx: GroupContext, s: Segment,
 
 def _transport(ctx: GroupContext, s: Segment, colors: Sequence[int],
                images: Sequence[Vertex]) -> Optional[Automorphism]:
-    """segment_transport onto the walk images with step colors colors."""
-    pairs = list(zip(s.colors, colors))
-    try:
-        sigmas = [_slot(ctx, pairs[max(i - 1, 0):i + 1])
-                  for i in range(len(pairs) + 1)]
-    except ConstraintUnsolvable:
-        return None
+    """segment_transport onto the walk images with step colors colors.
+    Slot i solves the constraints of steps i - 1 and i as _slot does with
+    no preferred candidate: the least element of F, else of F'."""
+    flat = [x for pair in zip(s.colors, colors) for x in pair]
+    least, least_p = ctx.F.least, ctx.Fp.least
+    sigmas = []
+    for i in range(0, len(flat) + 1, 2):
+        key = tuple(flat[max(i - 2, 0):i + 2])
+        sol = least(key) or least_p(key)
+        if sol is None:
+            return None
+        sigmas.append(sol)
     # each slot lies in F or F', so the portrait only checks consistency
     try:
         return SegmentPortrait(s.vertices(), images, sigmas, ctx.F)
@@ -216,7 +221,9 @@ def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec) -> Automorph
     line colors never backtrack, so each slot asks F' to map one pair of
     distinct points to another pair of distinct points (or, at an end,
     one point to another).  The first index of even displacement is
-    therefore always taken.  The images v_j..v_{j+n} are read off L.
+    therefore always taken.  The images v_j..v_{j+n} are read off L, and
+    the skeleton is the walk s keeps, so a span already walked is not
+    walked again.
     """
     if not ctx.two_transitive:
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")

@@ -248,7 +248,7 @@ def _axis_words(ctx: GroupContext, bound: int) -> list[tuple[int, ...]]:
 
 class _AxisColumns:
     """The candidate words of a search, one per axis (_axis_words), with
-    their axis columns computed once per (candidate, segment length).
+    their axis columns computed once per (rotation class, segment length).
 
     The axis of a cyclically reduced word w is its cyclic orbital word
     ctx.orbital_word(w + w[:1]).  Lemma: every value a search reads from w
@@ -260,27 +260,50 @@ class _AxisColumns:
     functions of the first.  A later word with the same axis therefore
     repeats the verdict of the first, so keeping the first word of each
     axis, in word order, leaves the first hit of a search, and with it
-    every witness, unchanged."""
+    every witness, unchanged.
+
+    The columns depend on less: only on the rotation class of the axis,
+    its least rotation.  axis_column counts the windows that start at each
+    position of one period, that is every window of n - 1 cyclically
+    consecutive labels, and the reversed windows of the backward labels;
+    rotating the labels permutes the starts, so both multisets, and the
+    column, stay the same.  So the words of one class share one column
+    and one list of its nonzero entries.  The tail counts read w * n
+    linearly and do depend on the rotation, so they stay per word."""
 
     def __init__(self, ctx: GroupContext, bound: int):
         self.ctx = ctx
         self.words = _axis_words(ctx, bound)
-        self.columns: dict[tuple[int, int], Counter] = {}
+        # the rotation class of each word, computed on its first read
+        self.classes: list[Optional[tuple[int, ...]]] = [None] * len(self.words)
+        self.columns: dict[tuple[tuple[int, ...], int], Counter] = {}
         # per length with every column built: each key's nonzero (i, h)
         self.nonzero: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
 
+    def rotation_class(self, i: int) -> tuple[int, ...]:
+        """The least rotation of the axis of words[i]."""
+        c = self.classes[i]
+        if c is None:
+            w = self.words[i]
+            labels = self.ctx.orbital_word(w + w[:1])
+            c = self.classes[i] = min(labels[j:] + labels[:j]
+                                      for j in range(len(labels)))
+        return c
+
     def __call__(self, i: int, n: int) -> Counter:
         """The axis column of words[i] for segment length n."""
-        col = self.columns.get((i, n))
+        key = self.rotation_class(i), n
+        col = self.columns.get(key)
         if col is None:
-            col = self.columns[i, n] = axis_column(self.ctx, self.words[i], n)
+            col = self.columns[key] = axis_column(self.ctx, self.words[i], n)
         return col
 
     def hits(self, n: int, key: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         """(i, h) for the words i with h = column(i, n)[key] nonzero, in
         word order, building columns only as the scan reaches them.  A
         scan that reaches the last word has built every column of length
-        n; it indexes the words by nonzero key for the later scans."""
+        n; it indexes the words by nonzero key for the later scans, listing
+        the nonzero entries of each class once."""
         index = self.nonzero.get(n)
         if index is not None:
             yield from index.get(key, ())
@@ -290,10 +313,15 @@ class _AxisColumns:
             if h:
                 yield i, h
         index = self.nonzero[n] = {}
+        entries: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for i in range(len(self.words)):
-            for k, h in self.columns[i, n].items():
-                if h:
-                    index.setdefault(k, []).append((i, h))
+            c = self.rotation_class(i)
+            items = entries.get(c)
+            if items is None:
+                items = entries[c] = [(k, h) for k, h in self.columns[c, n].items()
+                                      if h]
+            for k, h in items:
+                index.setdefault(k, []).append((i, h))
 
 
 def eval_colors(ctx: GroupContext, word: tuple[int, ...],

@@ -9,6 +9,7 @@ action of the free product of d copies of Z/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -146,11 +147,17 @@ class Segment:
     def length(self) -> int:
         return len(self.colors)
 
-    def vertices(self) -> list[Vertex]:
+    @functools.cached_property
+    def _walk(self) -> tuple[Vertex, ...]:
         out = [self.start]
         for k in self.colors:
             out.append(neighbor(out[-1], k))
-        return out
+        return tuple(out)
+
+    def vertices(self) -> tuple[Vertex, ...]:
+        """start, then the vertex after each step: walked on the first
+        call only, since a segment does not change."""
+        return self._walk
 
 
 def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:

@@ -35,6 +35,18 @@ from treelocal.tree import (
 )
 
 
+# The pairs whose F' fixes one color and is 2-transitive on the others:
+# their nonvanishing witnesses need segments of length 6 and words of 9.
+FIXED_COLOR_PAIRS = [
+    pytest.param(4, ["(2 3 4)"], ["(2 3 4)", "(2 3)"], id="d4-fixes-1"),
+    pytest.param(4, ["(1 3 4)"], ["(1 3 4)", "(1 3)"], id="d4-fixes-2"),
+    pytest.param(4, ["(1 2 4)"], ["(1 2 4)", "(1 2)"], id="d4-fixes-3"),
+    pytest.param(4, ["(1 2 3)"], ["(1 2 3)", "(1 2)"], id="d4-fixes-4"),
+    pytest.param(5, ["(2 3)(4 5)", "(2 4)(3 5)"], ["(2 3 4 5)", "(2 3)"],
+                 id="d5-fixes-1"),
+]
+
+
 @pytest.fixture(scope="session")
 def ctx3() -> GroupContext:
     """(d=3, F = rotations, F' = Sym(3)); F' is 2-transitive."""

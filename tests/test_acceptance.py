@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from treelocal.analysis import RunConfig, theorem1_branch, validate_inputs
+from treelocal.analysis import theorem1_branch, validate_inputs
 from treelocal.autom import (
     Compose,
     Inverse,

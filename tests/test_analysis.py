@@ -5,14 +5,13 @@ import json
 import pytest
 
 from treelocal.analysis import (
-    BranchReport,
     RunConfig,
     theorem1_branch,
     validate_inputs,
 )
 from treelocal.permgroups import is_2transitive_direct
 
-from conftest import valid_contexts
+from conftest import FIXED_COLOR_PAIRS, valid_contexts
 
 FAST = RunConfig(census_n=2, sample_size=10, membership_radius=4, window=4,
                  transport_samples=3, transport_max_len=3, qm_max_seg=2,
@@ -103,14 +102,7 @@ class TestBranchDecision:
 
 
 class TestFixedColorFamily:
-    @pytest.mark.parametrize("d, F, Fp", [
-        pytest.param(4, ["(2 3 4)"], ["(2 3 4)", "(2 3)"], id="d4-fixes-1"),
-        pytest.param(4, ["(1 3 4)"], ["(1 3 4)", "(1 3)"], id="d4-fixes-2"),
-        pytest.param(4, ["(1 2 4)"], ["(1 2 4)", "(1 2)"], id="d4-fixes-3"),
-        pytest.param(4, ["(1 2 3)"], ["(1 2 3)", "(1 2)"], id="d4-fixes-4"),
-        pytest.param(5, ["(2 3)(4 5)", "(2 4)(3 5)"], ["(2 3 4 5)", "(2 3)"],
-                     id="d5-fixes-1"),
-    ])
+    @pytest.mark.parametrize("d, F, Fp", FIXED_COLOR_PAIRS)
     def test_complete_at_wide_bounds(self, d, F, Fp):
         _, ctx = validate_inputs(d, F, Fp)
         report = theorem1_branch(ctx, WIDE)

@@ -1,6 +1,8 @@
 """Alternating chain complexes on finite vertex windows."""
 
+import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from treelocal.chains import (
     AlternatingChain,
     ComplexWindow,
     _aligned_sample,
+    _distance_rows,
     aligned_basis,
     aligned_closure_check,
     aligned_count_bound,
@@ -22,7 +25,15 @@ from treelocal.chains import (
     restriction_correspondence_check,
 )
 from treelocal.ratmat import rank
-from treelocal.tree import BASE, Vertex, ball, is_aligned, is_aligned_bruteforce
+from treelocal.tree import (
+    BASE,
+    Vertex,
+    ball,
+    distance,
+    geodesic,
+    is_aligned,
+    is_aligned_bruteforce,
+)
 
 from conftest import scan_transport_into_line, valid_contexts
 
@@ -240,3 +251,108 @@ class TestAlignedSample:
         report = restriction_correspondence_check(ctx4, 3, 2)
         assert report["tuples_checked"] == report["consistent"] == 120
         assert calls == []
+
+
+def distance_sample(points, size, cap, rng):
+    """The draw as first written: a distance call per pair for the
+    weights, and each span walked by prefixes of its ends."""
+    if size == 1:
+        pairs, weights = [(p, p) for p in points], [1] * len(points)
+    else:
+        pairs = list(itertools.combinations(points, 2))
+        weights = [math.comb(distance(a, b) - 1, size - 2) for a, b in pairs]
+    ends = list(itertools.accumulate(weights))
+    total = ends[-1] if ends else 0
+    picks = range(total) if total <= cap else rng.sample(range(total), cap)
+    order = {p: i for i, p in enumerate(points)}
+    drawn = []
+    for k in picks:
+        i = bisect.bisect_right(ends, k)
+        a, b = pairs[i]
+        walk = prefix_walk(a, b)
+        between = next(itertools.islice(
+            itertools.combinations(walk[1:-1], max(size - 2, 0)),
+            k - (ends[i - 1] if i else 0), None))
+        drawn.append((tuple(sorted(order[v] for v in {a, b, *between})), walk))
+    drawn.sort(key=lambda entry: entry[0])
+    return [(tuple(points[j] for j in key), walk) for key, walk in drawn]
+
+
+def prefix_walk(a, b):
+    """The vertices of [a, b]: up from a through its prefixes to the
+    common one, then down through the prefixes of b."""
+    c = (len(a) + len(b) - distance(a, b)) // 2
+    return ([Vertex(a[:k]) for k in range(len(a), c, -1)]
+            + [Vertex(b[:k]) for k in range(c, len(b) + 1)])
+
+
+class TestOneWalkPerSpan:
+    """The check draws its tuples as before, walks each span once, and
+    its transports read that walk."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_draws_as_first_written(self, d, monkeypatch):
+        # stop each check at its draw, on every 2-transitive pair
+        import treelocal.chains as chains
+
+        class Drawn(Exception):
+            pass
+
+        def sample(points, size, cap, rng):
+            raise Drawn(list(points), size, cap,
+                        chains_sample(points, size, cap, rng))
+
+        chains_sample = chains._aligned_sample
+        monkeypatch.setattr(chains, "_aligned_sample", sample)
+        for ctx in valid_contexts(d):
+            if not ctx.two_transitive:
+                continue
+            for seed in range(10):
+                with pytest.raises(Drawn) as caught:
+                    restriction_correspondence_check(ctx, 3, 2, seed=seed)
+                points, size, cap, drawn = caught.value.args
+                expected = distance_sample(points, size, cap, random.Random(seed))
+                assert [tup for tup, _ in drawn] == [tup for tup, _ in expected]
+                for (_, span), (_, walk) in zip(drawn, expected):
+                    assert span == geodesic(walk[0], walk[-1])
+                    assert list(span.vertices()) == walk
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_draws_as_first_written_at_every_size(self, d):
+        points = list(ball(BASE, 3, d))
+        for size in range(1, 5):
+            for seed in range(10):
+                drawn = _aligned_sample(points, size, 120, random.Random(seed))
+                expected = distance_sample(points, size, 120, random.Random(seed))
+                assert [(tup, list(span.vertices())) for tup, span in drawn] \
+                    == expected
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_distance_rows_on_balls(self, d):
+        for center in ("e", "1", "2.1.3"):
+            points = list(ball(V(center), 2, d))
+            assert list(_distance_rows(points)) == [
+                [distance(a, b) for b in points[i + 1:]]
+                for i, a in enumerate(points)]
+
+    def test_transport_reads_the_drawn_walk(self, ctx4, monkeypatch):
+        import treelocal.chains as chains
+        walks, portraits = {}, []
+        real_sample = chains._aligned_sample
+        real_transport = chains.transport_into_line
+
+        def sample(*args):
+            drawn = real_sample(*args)
+            walks.update((id(span), span.vertices()) for _, span in drawn)
+            return drawn
+
+        def transport(ctx, s, L):
+            portraits.append((s, real_transport(ctx, s, L)))
+            return portraits[-1][1]
+
+        monkeypatch.setattr(chains, "_aligned_sample", sample)
+        monkeypatch.setattr(chains, "transport_into_line", transport)
+        report = restriction_correspondence_check(ctx4, 3, 2)
+        assert report["consistent"] == len(portraits) == 120
+        # the skeleton is the very tuple the draw walked: no second walk
+        assert all(g.skeleton is walks[id(s)] for s, g in portraits)

@@ -1,4 +1,5 @@
-"""Every name a treelocal module imports is used in that module."""
+"""Every name a treelocal module or a test module imports is used in
+that module."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "treelocal"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,10 +31,16 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_found():
     assert len(MODULES) >= 10
+    assert len(TEST_MODULES) >= 10
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

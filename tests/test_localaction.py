@@ -8,7 +8,6 @@ import pytest
 from treelocal.errors import (
     ConstraintUnsolvable,
     LengthMismatch,
-    NotStabilizing,
     NotTwoTransitive,
     OutOfRange,
     TreeLocalError,
@@ -20,7 +19,6 @@ from treelocal.autom import (
     certify_membership,
     classify,
     eta,
-    power,
 )
 from treelocal.medianqm import eval_colors
 from treelocal.localaction import (

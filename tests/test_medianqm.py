@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treelocal.errors import SizeLimitExceeded, TreeLocalError
 from treelocal.autom import Compose, Diagonal, Inverse, WordTranslation, power
 from treelocal import medianqm, ratmat
-from treelocal.analysis import RunConfig
+from treelocal.analysis import RunConfig, validate_inputs
 from treelocal.medianqm import (
     MedianQM,
     axis_column,
@@ -28,6 +28,7 @@ from treelocal.permgroups import parse_cycles
 from treelocal.tree import BASE, Segment, Vertex, reduced_words
 
 from conftest import (
+    FIXED_COLOR_PAIRS,
     SlotwiseMatcher,
     equal_on_ball,
     fraction_pivot_positions,
@@ -495,6 +496,21 @@ def recorded_columns(monkeypatch):
     return built
 
 
+def rotation_class(ctx, w) -> tuple[int, ...]:
+    """The least rotation of the cyclic orbital word of w."""
+    labels = ctx.orbital_word(w + w[:1])
+    return min(labels[j:] + labels[:j] for j in range(len(labels)))
+
+
+def assert_one_column_per_class(ctx, built, lazy):
+    """The search built one column per (rotation class, length) that the
+    lazy per-word scan read, and no other: its index is built from
+    columns that the scan built."""
+    read = {(rotation_class(ctx, lazy.words[i]), n) for i, n in lazy.columns}
+    assert len(built) == len(read)
+    assert {(rotation_class(ctx, w), n) for w, n in built} == read
+
+
 class TestOnePatternCounts:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -530,9 +546,7 @@ class TestOnePatternCounts:
                 rep, w, h = expected
                 assert (f.s.colors, g.describe(), value) == (
                     rep, word_element(w, ctx.d).describe(), h)
-            # the index is built from columns that the scan built
-            assert sorted(built) == sorted(
-                (lazy.words[i], n) for i, n in lazy.columns)
+            assert_one_column_per_class(ctx, built, lazy)
 
     @pytest.mark.parametrize("target, max_seg, bound", [
         pytest.param(2, 3, 6, id="2-3-6"),
@@ -554,5 +568,46 @@ class TestOnePatternCounts:
                     word_element(w, ctx.d).describe() for w in words]
                 assert cert == independence_certificate(cert.qms,
                                                         cert.elements)
-            assert sorted(built) == sorted(
-                (lazy.words[i], n) for i, n in lazy.columns)
+            assert_one_column_per_class(ctx, built, lazy)
+
+
+class TestColumnsPerRotationClass:
+    """_AxisColumns keeps one column per (rotation class, length): the
+    words of a class share it, and the searches find what they found
+    with one column per word."""
+
+    def test_shared_column_is_the_word_column(self):
+        for ctx in CONTEXTS:
+            column = medianqm._AxisColumns(ctx, 8)
+            for n in range(1, 7):
+                for i, w in enumerate(column.words):
+                    assert column(i, n) == axis_column(ctx, w, n)
+                    assert column.rotation_class(i) == rotation_class(ctx, w)
+
+    @pytest.mark.parametrize("d, F, Fp", [
+        pytest.param(4, ["(1 2 3 4)"], ["(1 2 3 4)", "(1 3)"], id="dihedral"),
+        *FIXED_COLOR_PAIRS])
+    def test_searches_match_per_word_columns(self, monkeypatch, d, F, Fp):
+        # the oracle keys every word's columns on the word itself
+        _, ctx = validate_inputs(d, F, Fp)
+        max_seg, bound, rank_max_seg = 6, 11, 8
+        built = recorded_columns(monkeypatch)
+        found = find_nonvanishing_qm(ctx, max_seg, bound)
+        searched = len(built)
+        cert = independence_search(ctx, DEFAULT.rank_target, rank_max_seg, bound)
+        shared = len(built)
+        # each search calls axis_column once per (class, length)
+        for calls in (built[:searched], built[searched:]):
+            assert len(calls) == len({(rotation_class(ctx, w), n)
+                                      for w, n in calls})
+        monkeypatch.setattr(medianqm._AxisColumns, "rotation_class",
+                            lambda self, i: (i,))
+        per_word = find_nonvanishing_qm(ctx, max_seg, bound)
+        per_word_cert = independence_search(ctx, DEFAULT.rank_target,
+                                            rank_max_seg, bound)
+        assert found is not None and cert is not None
+        f, g, h = found
+        assert (f.s.colors, g.describe(), h) == (
+            per_word[0].s.colors, per_word[1].describe(), per_word[2])
+        assert cert.to_dict() == per_word_cert.to_dict()
+        assert shared < len(built) - shared

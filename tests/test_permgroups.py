@@ -14,7 +14,6 @@ from treelocal.errors import (
     TreeLocalError,
 )
 from treelocal.permgroups import (
-    PermGroup,
     Permutation,
     all_subgroups,
     find_mapping,
