@@ -16,10 +16,10 @@ claims the cohomological conclusions themselves.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from .errors import Frozen, TreeLocalError
 from .permgroups import (
     PermGroup,
     generate,
@@ -55,8 +55,7 @@ from .medianqm import (
 from .serialize import encode_segment
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     d: int
     order_F: int
     order_Fp: int
@@ -125,27 +124,51 @@ def validate_inputs(d: int, F_gens: Sequence[str], Fp_gens: Sequence[str]
     return report, GroupContext(d, F, Fp)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    census_n: int = 4
-    sample_size: int = 200
-    membership_radius: int = 8
-    window: int = 8
-    transport_samples: int = 20
-    transport_max_len: int = 5
-    qm_max_seg: int = 5
-    qm_search_bound: int = 8
-    qm_rank_max_seg: int = 6
-    rank_target: int = 3
-    limit_N: int = 8
-    seed: int = 0
+#: The fields of RunConfig and their defaults, in report order.
+_RUN_DEFAULTS = {
+    "census_n": 4,
+    "sample_size": 200,
+    "membership_radius": 8,
+    "window": 8,
+    "transport_samples": 20,
+    "transport_max_len": 5,
+    "qm_max_seg": 5,
+    "qm_search_bound": 8,
+    "qm_rank_max_seg": 6,
+    "rank_target": 3,
+    "limit_N": 8,
+    "seed": 0,
+}
+
+
+class RunConfig(Frozen):
+    """The sample sizes, windows and search bounds of theorem1_branch, and
+    its seed, given by keyword.  Each value is an int, and each but the
+    seed is at least 1: a sample, window or bound of 0 would let its check
+    pass without testing anything.  Anything else raises TreeLocalError
+    naming the first offending key."""
+
+    __slots__ = tuple(_RUN_DEFAULTS)
+
+    def __init__(self, **values: int):
+        for key, value in values.items():
+            if key not in _RUN_DEFAULTS:
+                raise TreeLocalError(f"config key {key!r} is not a RunConfig field")
+            if type(value) is not int:
+                import json  # only to quote the refused value
+                raise TreeLocalError(f"config key {key!r} needs an int, "
+                                     f"not {json.dumps(value, default=repr)}")
+            if key != "seed" and value < 1:
+                raise TreeLocalError(f"config key {key!r} needs at least 1, "
+                                     f"not {value}")
+        for key, default in _RUN_DEFAULTS.items():
+            object.__setattr__(self, key, values.get(key, default))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key) for key in _RUN_DEFAULTS}
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     branch: str
     evidence: dict
     parameters: dict

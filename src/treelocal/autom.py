@@ -15,8 +15,7 @@ InconsistentPortrait rather than producing a wrong vertex map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InconsistentPortrait,
@@ -547,18 +546,15 @@ def power(g: Automorphism, n: int) -> Automorphism:
 CLASSIFY_STEP_BOUND = (4, 2)
 
 
-@dataclass(frozen=True)
-class Elliptic:
+class Elliptic(NamedTuple):
     fixed: Vertex
 
 
-@dataclass(frozen=True)
-class InversionMove:
+class InversionMove(NamedTuple):
     edge: EdgeRef
 
 
-@dataclass(frozen=True)
-class Loxodromic:
+class Loxodromic(NamedTuple):
     length: int
     axis_point: Vertex
 
@@ -610,8 +606,7 @@ def eta(g: Automorphism) -> int:
 # --- membership in U(F'), G(F), G(F,F') ---
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     radius: int
     singular_in_radius: tuple[Vertex, ...]
     in_Uprime_in_radius: bool

@@ -17,11 +17,10 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import HypothesisUnverified, SizeLimitExceeded, TreeLocalError
+from .errors import Frozen, HypothesisUnverified, SizeLimitExceeded, TreeLocalError
 from .localaction import (
     ENUMERATION_CAP,
     GroupContext,
@@ -60,8 +59,7 @@ def normalize(tup: Sequence[Vertex]) -> Optional[tuple[tuple[Vertex, ...], int]]
     return tuple(tup[i] for i in keyed), sign
 
 
-@dataclass(frozen=True)
-class AlternatingChain:
+class AlternatingChain(NamedTuple):
     degree: int
     terms: dict[tuple[Vertex, ...], Fraction]
 
@@ -97,16 +95,16 @@ def boundary(c: AlternatingChain):
     return AlternatingChain.build(c.degree - 1, raw)
 
 
-@dataclass(frozen=True)
-class ComplexWindow:
-    points: tuple[Vertex, ...]
-    max_degree: int
+class ComplexWindow(Frozen):
+    __slots__ = ("points", "max_degree")
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[Vertex, ...], max_degree: int):
+        if len(set(points)) != len(points):
             raise TreeLocalError("window points must be distinct")
-        if self.max_degree < 0:
-            raise TreeLocalError(f"negative max degree {self.max_degree}")
+        if max_degree < 0:
+            raise TreeLocalError(f"negative max degree {max_degree}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "max_degree", max_degree)
 
     def basis(self, n: int) -> list[tuple[Vertex, ...]]:
         pts = sorted(self.points, key=vertex_key)

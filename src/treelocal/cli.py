@@ -14,7 +14,6 @@ default run-configuration fields; --config overrides it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -101,27 +100,18 @@ def _emit(obj, fmt: str) -> None:
 
 def _run_config(args) -> RunConfig:
     """The RunConfig of --config (or the CONFIG_ENV file) and --seed.  The
-    file must hold a JSON object of RunConfig fields with int values, each
-    at least 1 but the seed."""
+    file must hold a JSON object whose entries RunConfig accepts; it is
+    checked before --seed replaces its seed."""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     data = {}
     if path:
         data = _load_json_file(path)
         if not isinstance(data, dict):
             raise TreeLocalError(f"config {path} is not a JSON object")
-        names = {f.name for f in dataclasses.fields(RunConfig)}
-        for key, value in data.items():
-            if key not in names:
-                raise TreeLocalError(f"config key {key!r} is not a RunConfig field")
-            if type(value) is not int:
-                raise TreeLocalError(f"config key {key!r} needs an int, "
-                                     f"not {json.dumps(value)}")
-            if key != "seed" and value < 1:
-                raise TreeLocalError(f"config key {key!r} needs at least 1, "
-                                     f"not {value}")
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    return RunConfig(**data)
+    cfg = RunConfig(**data)
+    if getattr(args, "seed", None) is None:
+        return cfg
+    return RunConfig(**{**cfg.to_dict(), "seed": args.seed})
 
 
 def _classify_dict(cls) -> dict:

@@ -1,4 +1,22 @@
-"""Exception hierarchy shared by all treelocal modules."""
+"""Exception hierarchy shared by all treelocal modules, and the base of
+the immutable value classes."""
+
+
+class Frozen:
+    """Base of the immutable value classes.  Each sets its fields once, in
+    __init__, through object.__setattr__; assigning or deleting an
+    attribute afterwards raises.  A class that the library or the tests
+    compare writes its own == and repr over its fields, and its hash when
+    every field has one.  The methods are written out rather than
+    generated, so that importing the package compiles no code."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TreeLocalError(Exception):

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ConstraintUnsolvable,
@@ -63,39 +62,43 @@ from .tree import (
 ENUMERATION_CAP = 100000
 
 
-@dataclass
 class GroupContext:
-    """A validated pair F < F' < Sym({1..d}) with F' preserving F-orbits."""
+    """A validated pair F < F' < Sym({1..d}) with F' preserving F-orbits.
 
-    d: int
-    F: PermGroup
-    Fp: PermGroup
-    # F'-orbital of every ordered pair (x, y), numbered by first pair met
-    orbital: dict[tuple[int, int], int] = field(init=False, repr=False,
-                                                compare=False)
-    # F' is 2-transitive iff the pairs x != y all lie in one orbital
-    two_transitive: bool = field(init=False, repr=False, compare=False)
+    == and repr read d, F and F' only; a context is mutable, so it has no
+    hash."""
 
-    def __post_init__(self):
-        if self.d < 3:
-            raise TreeLocalError(f"degree {self.d} < 3")
-        if self.F.degree != self.d or self.Fp.degree != self.d:
+    def __init__(self, d: int, F: PermGroup, Fp: PermGroup):
+        if d < 3:
+            raise TreeLocalError(f"degree {d} < 3")
+        if F.degree != d or Fp.degree != d:
             raise TreeLocalError("group degrees do not match d")
-        if not self.F.is_subgroup_of(self.Fp):
+        if not F.is_subgroup_of(Fp):
             raise TreeLocalError("F must be a subgroup of F'")
-        if self.F.order == self.Fp.order:
+        if F.order == Fp.order:
             raise TreeLocalError("F must be a proper subgroup of F'")
-        if not preserves_orbits(self.F, self.Fp):
+        if not preserves_orbits(F, Fp):
             raise TreeLocalError("F' must preserve the orbits of F")
-        self.orbital = {}
+        self.d, self.F, self.Fp = d, F, Fp
+        # F'-orbital of every ordered pair (x, y), numbered by first pair met
+        self.orbital: dict[tuple[int, int], int] = {}
         ident = itertools.count()
-        for x, y in itertools.product(range(1, self.d + 1), repeat=2):
+        for x, y in itertools.product(range(1, d + 1), repeat=2):
             if (x, y) not in self.orbital:
                 k = next(ident)
-                for rho in self.Fp.elements:
+                for rho in Fp.elements:
                     self.orbital[rho(x), rho(y)] = k
+        # F' is 2-transitive iff the pairs x != y all lie in one orbital
         self.two_transitive = len({k for (x, y), k in self.orbital.items()
                                    if x != y}) == 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.F, self.Fp) == (other.d, other.F, other.Fp)
+
+    def __repr__(self):
+        return f"GroupContext(d={self.d!r}, F={self.F!r}, Fp={self.Fp!r})"
 
     def orbital_word(self, a: Sequence[int]) -> tuple[int, ...]:
         """The orbitals of the consecutive pairs (a_{i-1}, a_i), i >= 1;
@@ -363,8 +366,7 @@ def boundary_escape_witness(d: int) -> tuple[Automorphism, int]:
     return g, divergence
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(NamedTuple):
     """Two short segments through a common edge color that no element of
     G(F,F') can match: the stabilizer of the color a in F' has b1 and b2
     in different orbits."""

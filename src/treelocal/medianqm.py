@@ -17,11 +17,10 @@ nonvanishing and rank searches read their values from.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import OutOfRange, SizeLimitExceeded, TreeLocalError
+from .errors import Frozen, OutOfRange, SizeLimitExceeded, TreeLocalError
 from .autom import (
     Automorphism,
     Compose,
@@ -35,25 +34,32 @@ from .ratmat import border, rank
 from .tree import BASE, Segment, Vertex, geodesic
 
 
-@dataclass(frozen=True)
-class MedianQM:
+class MedianQM(Frozen):
     """The function g -> (signed count of oriented translates of s in the
-    geodesic from v to g v)."""
+    geodesic from v to g v).  Unhashable, as its context is."""
 
-    s: Segment
-    v: Vertex
-    ctx: GroupContext
+    __slots__ = ("s", "v", "ctx")
 
-    def __post_init__(self):
-        if self.s.length < 1:
+    def __init__(self, s: Segment, v: Vertex, ctx: GroupContext):
+        if s.length < 1:
             raise TreeLocalError("segment must have positive length")
-        if any(not 1 <= k <= self.ctx.d for k in self.s.colors):
+        if any(not 1 <= k <= ctx.d for k in s.colors):
             raise TreeLocalError(
-                f"segment colors {list(self.s.colors)} outside 1..{self.ctx.d}")
+                f"segment colors {list(s.colors)} outside 1..{ctx.d}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "ctx", ctx)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.v, self.ctx) == (other.s, other.v, other.ctx)
+
+    def __repr__(self):
+        return f"MedianQM(s={self.s!r}, v={self.v!r}, ctx={self.ctx!r})"
 
 
-@dataclass(frozen=True)
-class QMEvaluation:
+class QMEvaluation(NamedTuple):
     value: int
     forward_count: int
     backward_count: int
@@ -357,10 +363,10 @@ def find_nonvanishing_qm(
     return None
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Frozen):
     """Homogenized values of median quasimorphisms (rows) on word
-    translations (columns), with the matrix's exact rank r.
+    translations (columns), with the matrix's exact rank r.  Unhashable,
+    as its quasimorphisms are.
 
     Lemma: the rows' classes in H^2_b(G; R) span a space of dimension at
     least r.  The kernel of the map from homogeneous quasimorphisms to
@@ -373,10 +379,26 @@ class IndependenceCertificate:
     every j, so every c_i is 0.  That the rows are homogeneous
     quasimorphisms on G rests on the paper and is not checked here."""
 
-    qms: tuple[MedianQM, ...]
-    elements: tuple[WordTranslation, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    rank: int
+    __slots__ = ("qms", "elements", "matrix", "rank")
+
+    def __init__(self, qms: tuple[MedianQM, ...],
+                 elements: tuple[WordTranslation, ...],
+                 matrix: tuple[tuple[int, ...], ...], rank: int):
+        object.__setattr__(self, "qms", qms)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.qms, self.elements, self.matrix, self.rank)
+                == (other.qms, other.elements, other.matrix, other.rank))
+
+    def __repr__(self):
+        return (f"IndependenceCertificate(qms={self.qms!r}, "
+                f"elements={self.elements!r}, matrix={self.matrix!r}, "
+                f"rank={self.rank!r})")
 
     def to_dict(self) -> dict:
         return {

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ConflictingConstraints,
     DegreeMismatch,
+    Frozen,
     MalformedCycle,
     OutOfRange,
     RepeatedEntry,
@@ -145,23 +145,38 @@ def parse_cycles(text: str, d: int) -> Permutation:
     return Permutation(images)
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Frozen):
     """A fully materialized subgroup of Sym({1..d}).
 
     ``elements`` is sorted lexicographically on image tuples; this is the
-    canonical order relied on by every deterministic search.
+    canonical order relied on by every deterministic search.  The element
+    set and the memo of ``least`` are not fields: ==, hash and repr ignore
+    them.
     """
 
-    degree: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
-    _element_set: frozenset = field(repr=False, compare=False, default=frozenset())
-    _least: dict = field(repr=False, compare=False, default_factory=dict,
-                         init=False)
+    __slots__ = ("degree", "generators", "elements", "_element_set", "_least",
+                 "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
+    def __init__(self, degree: int, generators: tuple[Permutation, ...],
+                 elements: tuple[Permutation, ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_element_set", frozenset(elements))
+        object.__setattr__(self, "_least", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.degree, self.generators, self.elements)
+                == (other.degree, other.generators, other.elements))
+
+    def __hash__(self):
+        return hash((self.degree, self.generators, self.elements))
+
+    def __repr__(self):
+        return (f"PermGroup(degree={self.degree!r}, "
+                f"generators={self.generators!r}, elements={self.elements!r})")
 
     def least(self, key: tuple[int, ...]) -> Optional[Permutation]:
         """find_mapping(self, [(a1, b1), (a2, b2), ...]) for the constraints

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import SizeLimitExceeded, TreeLocalError
+from .errors import Frozen, SizeLimitExceeded, TreeLocalError
 
 #: The most vertices that ball walks; ball(e, 8) at d = 4 has 13,121.
 BALL_CAP = 1_000_000
@@ -103,16 +102,27 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
     return len(u) == len(v) + 1 and u[:-1] == v
 
 
-@dataclass(frozen=True)
-class EdgeRef:
+class EdgeRef(Frozen):
     """An edge given by its endpoint nearer the base, plus its color."""
 
-    near: Vertex
-    color: int
+    __slots__ = ("near", "color")
 
-    def __post_init__(self):
-        if self.near and self.near[-1] == self.color:
+    def __init__(self, near: Vertex, color: int):
+        if near and near[-1] == color:
             raise TreeLocalError("near endpoint already ends with the edge color")
+        object.__setattr__(self, "near", near)
+        object.__setattr__(self, "color", color)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.near, self.color) == (other.near, other.color)
+
+    def __hash__(self):
+        return hash((self.near, self.color))
+
+    def __repr__(self):
+        return f"EdgeRef(near={self.near!r}, color={self.color!r})"
 
     @property
     def far(self) -> Vertex:
@@ -130,18 +140,28 @@ def edge_between(u: Vertex, v: Vertex) -> EdgeRef:
     return EdgeRef(near, far[-1])
 
 
-@dataclass(frozen=True)
-class Segment:
-    """An oriented geodesic: a start vertex and the colors of its steps."""
+class Segment(Frozen):
+    """An oriented geodesic: a start vertex and the colors of its steps.
+    Not slotted: the cached walk lives in the instance dict."""
 
-    start: Vertex
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        for a, b in zip(self.colors, self.colors[1:]):
+    def __init__(self, start: Vertex, colors: Sequence[int]):
+        colors = tuple(colors)
+        for a, b in zip(colors, colors[1:]):
             if a == b:
-                raise TreeLocalError(f"segment backtracks: colors {self.colors}")
+                raise TreeLocalError(f"segment backtracks: colors {colors}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "colors", colors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.colors) == (other.start, other.colors)
+
+    def __hash__(self):
+        return hash((self.start, self.colors))
+
+    def __repr__(self):
+        return f"Segment(start={self.start!r}, colors={self.colors!r})"
 
     @property
     def length(self) -> int:
@@ -248,18 +268,28 @@ def is_aligned_bruteforce(points: Sequence[Vertex]) -> bool:
     return all(p in on_path for p in pts)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodic:
+class EventuallyPeriodic(Frozen):
     """An eventually periodic sequence indexed from 1."""
 
-    pre: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("pre", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre", tuple(self.pre))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, pre: Sequence[int], period: Sequence[int]):
+        pre, period = tuple(pre), tuple(period)
+        if not period:
             raise TreeLocalError("period must be nonempty")
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "period", period)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pre, self.period) == (other.pre, other.period)
+
+    def __hash__(self):
+        return hash((self.pre, self.period))
+
+    def __repr__(self):
+        return f"EventuallyPeriodic(pre={self.pre!r}, period={self.period!r})"
 
     def term(self, i: int) -> int:
         if i < 1:
@@ -269,30 +299,44 @@ class EventuallyPeriodic:
         return self.period[(i - 1 - len(self.pre)) % len(self.period)]
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(Frozen):
     """A bi-infinite geodesic line through an anchor vertex v_0.
 
     ``forward.term(i)`` is the color of the edge (v_{i-1}, v_i) for i >= 1;
     ``backward.term(i)`` is the color of the edge (v_{-i}, v_{-i+1}).
     """
 
-    anchor: Vertex
-    forward: EventuallyPeriodic
-    backward: EventuallyPeriodic
+    __slots__ = ("anchor", "forward", "backward", "_walked", "_index")
 
-    def __post_init__(self):
+    def __init__(self, anchor: Vertex, forward: EventuallyPeriodic,
+                 backward: EventuallyPeriodic):
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
         # geodesic check on a window covering both preambles and periods
-        w = 2 * (len(self.forward.pre) + len(self.forward.period)
-                 + len(self.backward.pre) + len(self.backward.period)) + 4
+        w = 2 * (len(forward.pre) + len(forward.period)
+                 + len(backward.pre) + len(backward.period)) + 4
         for i in range(-w, w):
             if self.edge_color(i) == self.edge_color(i + 1):
                 raise TreeLocalError(f"line backtracks at index {i}")
         # v_0, v_1, ... and v_0, v_-1, ..., walked once and extended on
-        # demand, and the index of every walked vertex; not dataclass fields,
-        # so ==, hash and repr ignore them
-        object.__setattr__(self, "_walked", ([self.anchor], [self.anchor]))
-        object.__setattr__(self, "_index", {self.anchor: 0})
+        # demand, and the index of every walked vertex; not fields, so ==,
+        # hash and repr ignore them
+        object.__setattr__(self, "_walked", ([anchor], [anchor]))
+        object.__setattr__(self, "_index", {anchor: 0})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.anchor, self.forward, self.backward)
+                == (other.anchor, other.forward, other.backward))
+
+    def __hash__(self):
+        return hash((self.anchor, self.forward, self.backward))
+
+    def __repr__(self):
+        return (f"LineSpec(anchor={self.anchor!r}, forward={self.forward!r}, "
+                f"backward={self.backward!r})")
 
     def tail(self, m: int = 1) -> tuple[int, int]:
         """(seam, P) such that anything depending only on i mod m and on

@@ -9,6 +9,7 @@ from treelocal.analysis import (
     theorem1_branch,
     validate_inputs,
 )
+from treelocal.errors import TreeLocalError
 from treelocal.permgroups import is_2transitive_direct
 
 from conftest import FIXED_COLOR_PAIRS, valid_contexts
@@ -99,6 +100,33 @@ class TestBranchDecision:
     def test_parameters_recorded(self, ctx3):
         report = theorem1_branch(ctx3, FAST)
         assert report.parameters == FAST.to_dict()
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("values, message", [
+        # a sample or window of 0 would pass its check without testing
+        ({"sample_size": 0, "transport_samples": 0, "window": 0},
+         "config key 'sample_size' needs at least 1, not 0"),
+        ({"census_n": -3}, "config key 'census_n' needs at least 1, not -3"),
+        ({"window": 1.0}, "config key 'window' needs an int, not 1.0"),
+        ({"window": True}, "config key 'window' needs an int, not true"),
+        ({"seed": "1"}, "config key 'seed' needs an int, not \"1\""),
+        ({"bogus": 1}, "config key 'bogus' is not a RunConfig field"),
+    ], ids=["zero-sizes", "negative", "float", "bool", "str-seed", "unknown"])
+    def test_refused_through_the_api(self, values, message):
+        with pytest.raises(TreeLocalError) as info:
+            RunConfig(**values)
+        assert str(info.value) == message
+
+    def test_seed_may_be_any_int(self):
+        assert RunConfig(seed=-5).seed == -5
+        assert RunConfig(seed=0).to_dict() == RunConfig().to_dict()
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig()
+        with pytest.raises(AttributeError, match="window"):
+            cfg.window = 0
+        assert cfg.window == 8
 
 
 class TestFixedColorFamily:
