@@ -353,26 +353,46 @@ def pick_tau(F: PermGroup) -> tuple[Permutation, tuple[int, ...]]:
 
 
 def all_subgroups(d: int) -> list[PermGroup]:
-    """Every subgroup of Sym(d), for d <= 5.
+    """Every subgroup of Sym(d), for 1 <= d <= 5.
 
     Closes over all generator tuples of size <= 2, which suffice since
     every subgroup of Sym(5) is 2-generated; Sym(6) is refused, as
     (Z/2)^3 = <(1 2), (3 4), (5 6)> needs three.  Result sorted by
     (order, element list).
+
+    The closures run on the multiplication table of Sym(d) over the
+    indices of its sorted elements.  Each closure is a bitmask of indices,
+    so its bits read in index order give the sorted element list.  The
+    tuples are visited trivial first, then singletons, then pairs in
+    combinations order, and each group keeps the first tuple that
+    generates it.
     """
-    if d > 5:
-        raise TreeLocalError(
-            f"all_subgroups needs d <= 5, not {d}: a subgroup of Sym({d}) "
-            "may need more than 2 generators")
-    sym = symmetric_group(d)
-    seen: dict[frozenset, PermGroup] = {}
-    triv = trivial_group(d)
-    seen[frozenset(triv.elements)] = triv
-    pool = list(sym.elements)
+    if not 1 <= d <= 5:
+        why = ("a subgroup of Sym(d) may need more than 2 generators" if d > 5
+               else "Sym(d) needs d >= 1")
+        raise TreeLocalError(f"all_subgroups needs 1 <= d <= 5, not {d}: {why}")
+    pool = symmetric_group(d).elements
+    index = {p: i for i, p in enumerate(pool)}
+    table = [[index[g.after(a)] for a in pool] for g in pool]
+    # the identity is the least element, index 0
+    groups = [trivial_group(d)]
+    seen = {1}
     for r in (1, 2):
-        for gens in itertools.combinations(pool, r):
-            G = generate(gens, d)
-            key = frozenset(G.elements)
-            if key not in seen:
-                seen[key] = G
-    return sorted(seen.values(), key=lambda G: (G.order, G.elements))
+        for gens in itertools.combinations(range(len(pool)), r):
+            rows = [table[g] for g in gens]
+            mask, frontier = 1, [0]
+            while frontier:
+                fresh = []
+                for a in frontier:
+                    for row in rows:
+                        b = row[a]
+                        if not mask >> b & 1:
+                            mask |= 1 << b
+                            fresh.append(b)
+                frontier = fresh
+            if mask not in seen:
+                seen.add(mask)
+                groups.append(PermGroup(
+                    d, tuple(pool[g] for g in gens),
+                    tuple(p for i, p in enumerate(pool) if mask >> i & 1)))
+    return sorted(groups, key=lambda G: (G.order, G.elements))

@@ -1,10 +1,12 @@
 """Exact rank of integer matrices by fraction-free elimination.
 
-Small dense matrices only.  Elimination follows Bareiss ("Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): after k pivot steps every entry below the pivot rows is a
-(k+1)-minor of the input, so each update divides exactly by the previous
-pivot and all arithmetic stays in Python ints.
+:func:`rank` first pivots on the entries +-1 of sparse rows, then hands
+what is left to :func:`pivot_positions`, for small dense matrices.
+Elimination there follows Bareiss ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): after k
+pivot steps every entry below the pivot rows is a (k+1)-minor of the
+input, so each update divides exactly by the previous pivot and all
+arithmetic stays in Python ints.
 """
 
 from __future__ import annotations
@@ -14,7 +16,41 @@ from typing import Optional, Sequence
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(pivot_positions(rows))
+    """Rank over Q.  In passes over the rows until none has an entry +-1,
+    each row with one pivots on its first +-1 and clears that column from
+    every other row.  Adding an integer multiple of one row to another is
+    unimodular, and the pivot row is then the only one with an entry in
+    its column, so each pivot adds exactly 1 to the rank of the rows left.
+    The rows left, possibly none, go to pivot_positions.  Entries must be
+    ints (TypeError otherwise); the input is not changed."""
+    sparse = [{j: x for j, x in enumerate(map(operator.index, row)) if x}
+              for row in rows]
+    units = 0
+    found = True
+    while found:
+        found = False
+        for top in sparse:
+            c = next((j for j, x in top.items() if x == 1 or x == -1), None)
+            if c is None:
+                continue
+            found = True
+            units += 1
+            s = top[c]
+            rest = [(j, x * s) for j, x in top.items() if j != c]
+            top.clear()
+            for row in sparse:
+                f = row.pop(c, 0)
+                if not f:
+                    continue
+                for j, x in rest:
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+    left = sorted({j for row in sparse for j in row})
+    return units + len(pivot_positions(
+        [[row.get(j, 0) for j in left] for row in sparse if row]))
 
 
 def pivot_positions(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,10 +19,14 @@ from treelocal.autom import (
 )
 from treelocal.localaction import GroupContext
 from treelocal.permgroups import (
+    PermGroup,
     Permutation,
     all_subgroups,
     find_mapping,
+    generate,
     preserves_orbits,
+    symmetric_group,
+    trivial_group,
 )
 from treelocal.errors import TreeLocalError
 from treelocal.tree import (
@@ -90,6 +95,25 @@ def valid_contexts(d: int) -> list[GroupContext]:
                     and preserves_orbits(F, Fp)):
                 out.append(GroupContext(d, F, Fp))
     return out
+
+
+def closure_subgroups(d: int) -> list[PermGroup]:
+    """all_subgroups by closing every generator tuple of size <= 2 with
+    generate, an oracle for the closures on the multiplication table:
+    trivial first, then singletons and pairs of the sorted elements in
+    combinations order, each group kept with the first tuple that
+    generates it."""
+    seen: dict[frozenset, PermGroup] = {}
+    triv = trivial_group(d)
+    seen[frozenset(triv.elements)] = triv
+    pool = list(symmetric_group(d).elements)
+    for r in (1, 2):
+        for gens in itertools.combinations(pool, r):
+            G = generate(gens, d)
+            key = frozenset(G.elements)
+            if key not in seen:
+                seen[key] = G
+    return sorted(seen.values(), key=lambda G: (G.order, G.elements))
 
 
 class SlotwiseMatcher:

@@ -30,6 +30,8 @@ from treelocal.permgroups import (
     trivial_group,
 )
 
+from conftest import closure_subgroups
+
 perm_strategy = st.integers(3, 6).flatmap(
     lambda d: st.permutations(list(range(1, d + 1))).map(Permutation))
 
@@ -231,6 +233,26 @@ class TestAllSubgroups:
         monkeypatch.setattr(permgroups, "generate", None)
         with pytest.raises(TreeLocalError, match="d <= 5"):
             all_subgroups(6)
+
+    @pytest.mark.parametrize("d", [-1, 0])
+    def test_degree_below_1_refused_before_enumerating(self, monkeypatch, d):
+        import treelocal.permgroups as permgroups
+        monkeypatch.setattr(permgroups, "generate", None)
+        monkeypatch.setattr(permgroups, "symmetric_group", None)
+        with pytest.raises(TreeLocalError, match=f"not {d}:"):
+            all_subgroups(d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_the_closure_oracle(self, d):
+        # == compares degree, generators and elements
+        assert all_subgroups(d) == closure_subgroups(d)
+
+    def test_degree_5(self):
+        subs = all_subgroups(5)
+        assert len(subs) == 156
+        assert subs == sorted(subs, key=lambda G: (G.order, G.elements))
+        for G in subs:
+            assert G == generate(G.generators, 5)
 
     def test_all_are_subgroups(self):
         S4 = symmetric_group(4)
