@@ -30,7 +30,6 @@ from .tree import (
     EdgeRef,
     LineSpec,
     Vertex,
-    adjacent,
     ball,
     distance,
     edge_between,
@@ -339,30 +338,34 @@ class SegmentPortrait(FilledPortrait):
             raise TreeLocalError("skeleton arrays must have equal lengths")
         if not vertices:
             raise TreeLocalError("skeleton must be nonempty")
-        for a, b in zip(vertices, vertices[1:]):
-            if not adjacent(a, b):
+        # one pass per concern.  First adjacency, taking each edge's color:
+        # two vertices are adjacent iff one is the other plus that letter
+        colors = []
+        for u, w in zip(vertices, vertices[1:]):
+            if w and w[:-1] == u:
+                colors.append(w[-1])
+            elif u and u[:-1] == w:
+                colors.append(u[-1])
+            else:
                 raise TreeLocalError("skeleton vertices must be consecutive")
         super().__init__(fill, vertices[0])
+        # then each edge's sigmas agree on its color k, and sigma sends k to
+        # the image edge (so the images are consecutive too)
+        for i, k in enumerate(colors):
+            c = sigmas[i](k)
+            if c != sigmas[i + 1](k):
+                raise InconsistentPortrait(
+                    f"sigma at {vertices[i]} and {vertices[i + 1]} disagree "
+                    f"on edge color {k}")
+            x = images[i]  # neighbor(x, c), inline
+            if (x[:-1] if x and x[-1] == c else x + (c,)) != images[i + 1]:
+                raise InconsistentPortrait(
+                    f"images of {vertices[i]}, {vertices[i + 1]} are not "
+                    f"related by sigma on color {k}")
         self.skeleton = tuple(vertices)
         self.images = tuple(images)
         self.sigmas = tuple(sigmas)
         self._index = {v: i for i, v in enumerate(self.skeleton)}
-        self._validate()
-
-    def _validate(self):
-        for i in range(len(self.skeleton) - 1):
-            u, w = self.skeleton[i], self.skeleton[i + 1]
-            # __init__ checked that u, w are adjacent: the edge's color is
-            # the last letter of the longer one
-            k = (w if len(w) > len(u) else u)[-1]
-            if self.sigmas[i](k) != self.sigmas[i + 1](k):
-                raise InconsistentPortrait(
-                    f"sigma at {u} and {w} disagree on edge color {k}")
-            # this also keeps consecutive images adjacent, since neighbor
-            # returns a vertex adjacent to its argument
-            if neighbor(self.images[i], self.sigmas[i](k)) != self.images[i + 1]:
-                raise InconsistentPortrait(
-                    f"images of {u}, {w} are not related by sigma on color {k}")
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         return self._index.get(v)

@@ -30,7 +30,7 @@ from .localaction import (
     translation_t,
     transport_into_line,
 )
-from .autom import Automorphism, Compose, power
+from .autom import Automorphism, power
 from .ratmat import rank
 from .tree import (
     BASE,
@@ -272,7 +272,8 @@ def _aligned_sample(points: Sequence[Vertex], size: int, cap: int,
             k - (ends[i - 1] if i else 0), None))
         drawn.append((tuple(sorted(order[v] for v in {a, b, *between})), span))
     drawn.sort(key=lambda entry: entry[0])
-    return [(tuple(points[j] for j in key), span) for key, span in drawn]
+    # tuples of lists, for the reason tree.geodesic gives
+    return [(tuple([points[j] for j in key]), span) for key, span in drawn]
 
 
 def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
@@ -288,8 +289,9 @@ def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
       the translation t along L (their anchor indices have matching
       parity), verified on the tuple images.
 
-    The second transport is Compose(t, g) for the first transport g, so
-    its anchor index is always two past the first's, h is t itself, and
+    The second transport is t g for the first transport g, whose images
+    are t's of the first images, as (t g)(v) = t(g(v)).  Its anchor index
+    is therefore always two past the first's, h is t itself, and
     ``consistent`` equals ``transported`` by construction.
 
     The sample (_aligned_sample) is uniform without replacement, and no
@@ -301,10 +303,17 @@ def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
     edge-transitive on a window (checked here via t and r).  A window
     whose aligned tuples could exceed ENUMERATION_CAP (by
     aligned_count_bound) raises SizeLimitExceeded before any is built.
+    Past n = 2 window_radius the ball holds no aligned (n+1)-tuple (a
+    geodesic in it has at most 2 window_radius + 1 vertices), and a check
+    of nothing raises TreeLocalError before the line is built.
     """
     if not ctx.two_transitive:
         raise HypothesisUnverified("F' must be 2-transitive")
     points = list(ball(BASE, window_radius, ctx.d))
+    if n > 2 * window_radius:
+        raise TreeLocalError(
+            f"a ball of radius {window_radius} holds no aligned tuple of "
+            f"degree {n} ({n + 1} points)")
     bound = aligned_count_bound(len(points), window_radius, n)
     if bound > ENUMERATION_CAP:
         raise SizeLimitExceeded(
@@ -330,11 +339,11 @@ def restriction_correspondence_check(ctx: GroupContext, window_radius: int,
             failures.append(f"tuple {tup} not carried into L")
             continue
         transported += 1
-        # second, shifted transport: t g also carries the tuple into L
-        g2 = Compose(t, g)
-        images2 = [g2.apply(v) for v in tup]
-        j = L.index_of(g.apply(span.start))
-        j2 = L.index_of(g2.apply(span.start))
+        # second, shifted transport t g: its images are t's of the first
+        images2 = [t.apply(x) for x in images]
+        x0 = g.apply(span.start)
+        j = L.index_of(x0)
+        j2 = L.index_of(t.apply(x0))
         if (j2 - j) % 2 != 0:
             failures.append(f"tuple {tup}: parity mismatch between transports")
             continue

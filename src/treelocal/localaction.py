@@ -199,11 +199,15 @@ def _transport(ctx: GroupContext, s: Segment, colors: Sequence[int],
     """segment_transport onto the walk images with step colors colors.
     Slot i solves the constraints of steps i - 1 and i as _slot does with
     no preferred candidate: the least element of F, else of F'."""
-    flat = [x for pair in zip(s.colors, colors) for x in pair]
+    # a_0, b_0, a_1, b_1, ...: a tuple of known length (see tree.geodesic),
+    # whose slices are the slot keys
+    flat = [0] * (2 * len(colors))
+    flat[::2], flat[1::2] = s.colors, colors
+    flat = tuple(flat)
     least, least_p = ctx.F.least, ctx.Fp.least
     sigmas = []
     for i in range(0, len(flat) + 1, 2):
-        key = tuple(flat[max(i - 2, 0):i + 2])
+        key = flat[i - 2 if i else 0:i + 2]
         sol = least(key) or least_p(key)
         if sol is None:
             return None
@@ -224,16 +228,16 @@ def transport_into_line(ctx: GroupContext, s: Segment, L: LineSpec) -> Automorph
     line colors never backtrack, so each slot asks F' to map one pair of
     distinct points to another pair of distinct points (or, at an end,
     one point to another).  The first index of even displacement is
-    therefore always taken.  The images v_j..v_{j+n} are read off L, and
-    the skeleton is the walk s keeps, so a span already walked is not
-    walked again.
+    therefore always taken.  The images v_j..v_{j+n} are one slice of
+    the walked line, and the skeleton is the walk s keeps, so a span
+    already walked is not walked again.
     """
     if not ctx.two_transitive:
         raise NotTwoTransitive("transport into a line needs F' 2-transitive")
-    j = distance(s.start, L.vertex(0)) % 2
-    steps = range(j + 1, j + s.length + 1)
-    return _transport(ctx, s, [L.edge_color(i) for i in steps],
-                      [L.vertex(j)] + [L.vertex(i) for i in steps])
+    j = distance(s.start, L.anchor) % 2
+    term = L.forward.term
+    return _transport(ctx, s, [term(i) for i in range(j + 1, j + s.length + 1)],
+                      L.forward_slice(j, j + s.length + 1))
 
 
 # --- the line, its translation and rotation ---

@@ -9,7 +9,6 @@ action of the free product of d copies of Z/2.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
@@ -167,17 +166,20 @@ class Segment(Frozen):
     def length(self) -> int:
         return len(self.colors)
 
-    @functools.cached_property
-    def _walk(self) -> tuple[Vertex, ...]:
-        out = [self.start]
-        for k in self.colors:
-            out.append(neighbor(out[-1], k))
-        return tuple(out)
-
     def vertices(self) -> tuple[Vertex, ...]:
         """start, then the vertex after each step: walked on the first
-        call only, since a segment does not change."""
-        return self._walk
+        call only, into the instance dict, since a segment does not change."""
+        walk = self.__dict__.get("_walk")
+        if walk is None:
+            v = self.start
+            out = [v]
+            for k in self.colors:
+                # neighbor(v, k), inline
+                v = tuple.__new__(
+                    Vertex, v[:-1] if v and v[-1] == k else v + (k,))
+                out.append(v)
+            walk = self.__dict__["_walk"] = tuple(out)
+        return walk
 
 
 def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:
@@ -189,7 +191,10 @@ def geodesic_colors(u: Vertex, v: Vertex) -> Iterable[int]:
 
 def geodesic(u: Vertex, v: Vertex) -> Segment:
     """The geodesic segment from u to v."""
-    return Segment(u, tuple(geodesic_colors(u, v)))
+    # a list first: tuple() of an iterator of unknown length shrinks a
+    # larger tuple, and freed, such tuples pile up on the free list of
+    # their size, which raised peak RSS
+    return Segment(u, list(geodesic_colors(u, v)))
 
 
 PointOrMid = Union[Vertex, EdgeRef]
@@ -373,6 +378,16 @@ class LineSpec(Frozen):
     def vertex(self, i: int) -> Vertex:
         """v_i; a table lookup once the walk has reached it."""
         return self._walk(i)
+
+    def forward_slice(self, lo: int, hi: int) -> list[Vertex]:
+        """[v_lo, ..., v_{hi-1}] for 0 <= lo <= hi: one slice of the walked
+        forward side, walked out to v_{hi-1} first when it is short."""
+        if lo < 0:
+            raise TreeLocalError(f"forward slice from index {lo} < 0")
+        side = self._walked[0]
+        if len(side) < hi:
+            self._walk(hi - 1)
+        return side[lo:hi]
 
     def index_of(self, v: Vertex) -> int | None:
         """Index of v on the line, or None when v is off the line.

@@ -28,7 +28,7 @@ from treelocal.permgroups import (
     symmetric_group,
     trivial_group,
 )
-from treelocal.errors import TreeLocalError
+from treelocal.errors import NotTwoTransitive, TreeLocalError
 from treelocal.tree import (
     BASE,
     Segment,
@@ -174,6 +174,26 @@ def scan_transport_into_line(ctx: GroupContext, s: Segment, L):
                 return j, SegmentPortrait(s.vertices(), target.vertices(),
                                           sigmas, ctx.F)
     return None
+
+
+def vertex_transport_into_line(ctx: GroupContext, s: Segment, L):
+    """transport_into_line as it read the line before the sliced read, an
+    oracle for it: the parity against L.vertex(0), each image one
+    LineSpec.vertex call and each line color one edge_color call, and
+    each slot key a tuple of a slice of a flat list (least element of F,
+    else of F')."""
+    if not ctx.two_transitive:
+        raise NotTwoTransitive("transport into a line needs F' 2-transitive")
+    j = distance(s.start, L.vertex(0)) % 2
+    steps = range(j + 1, j + s.length + 1)
+    colors = [L.edge_color(i) for i in steps]
+    flat = [x for pair in zip(s.colors, colors) for x in pair]
+    sigmas = []
+    for i in range(0, len(flat) + 1, 2):
+        key = tuple(flat[max(i - 2, 0):i + 2])
+        sigmas.append(ctx.F.least(key) or ctx.Fp.least(key))
+    return SegmentPortrait(s.vertices(), [L.vertex(j)] + [L.vertex(i) for i in steps],
+                           sigmas, ctx.F)
 
 
 def distance_filter_ball(v: Vertex, R: int, d: int) -> list[Vertex]:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from treelocal import autom, permgroups
 from treelocal.errors import (
+    InconsistentPortrait,
     OrbitViolation,
     RadiusExhausted,
     SizeLimitExceeded,
@@ -126,6 +127,103 @@ class TestBasicElements:
         with pytest.raises(InconsistentPortrait):
             SegmentPortrait([BASE, Vertex((1,))], [BASE, Vertex((1, 2))],
                             [Permutation.identity(3)] * 2, symmetric_group(3))
+
+
+def two_pass_fault(vertices, images, sigmas):
+    """The checks of a segment portrait in the order they were written
+    first, an oracle for its one pass per concern: (class, message) of
+    the first fault, or None.  Every consecutive pair is tested for
+    adjacency, and then each edge, in order, for sigma agreement on its
+    color and for the image step."""
+    if not len(vertices) == len(images) == len(sigmas):
+        return TreeLocalError, "skeleton arrays must have equal lengths"
+    if not vertices:
+        return TreeLocalError, "skeleton must be nonempty"
+    if any(distance(u, w) != 1 for u, w in zip(vertices, vertices[1:])):
+        return TreeLocalError, "skeleton vertices must be consecutive"
+    for i, (u, w) in enumerate(zip(vertices, vertices[1:])):
+        k = (w if len(w) > len(u) else u)[-1]
+        if sigmas[i](k) != sigmas[i + 1](k):
+            return (InconsistentPortrait,
+                    f"sigma at {u} and {w} disagree on edge color {k}")
+        if neighbor(images[i], sigmas[i](k)) != images[i + 1]:
+            return (InconsistentPortrait,
+                    f"images of {u}, {w} are not related by sigma on color {k}")
+    return None
+
+
+class TestSegmentPortraitChecks:
+    """SegmentPortrait checks adjacency in one pass, taking each edge's
+    color, and sigma agreement and image steps in a second; the errors,
+    their order and their messages are those of the checks as first
+    written."""
+
+    ID = Permutation.identity(3)
+    SWAP = parse_cycles("(1 2)", 3)
+    CASES = [
+        # vertices, images, sigmas, (class, message)
+        ([BASE, Vertex((1, 2))], [BASE, Vertex((1, 2))], [ID] * 2,
+         (TreeLocalError, "skeleton vertices must be consecutive")),
+        ([Vertex((1,)), Vertex((1,))], [BASE, BASE], [ID] * 2,
+         (TreeLocalError, "skeleton vertices must be consecutive")),
+        ([Vertex((1,)), Vertex((2,))], [Vertex((1,)), Vertex((2,))], [ID] * 2,
+         (TreeLocalError, "skeleton vertices must be consecutive")),
+        ([BASE, BASE], [BASE, BASE], [ID] * 2,
+         (TreeLocalError, "skeleton vertices must be consecutive")),
+        ([BASE, Vertex((1,))], [BASE, Vertex((1,))], [ID, SWAP],
+         (InconsistentPortrait, "sigma at e and 1 disagree on edge color 1")),
+        ([Vertex((2, 1)), Vertex((2,))], [BASE, Vertex((1,))], [ID, SWAP],
+         (InconsistentPortrait, "sigma at 2.1 and 2 disagree on edge color 1")),
+        ([BASE, Vertex((1,))], [BASE, Vertex((2,))], [ID] * 2,
+         (InconsistentPortrait,
+          "images of e, 1 are not related by sigma on color 1")),
+        ([Vertex((1, 2)), Vertex((1,)), BASE], [Vertex((1, 2)), Vertex((1,)),
+                                                Vertex((1, 3))], [ID] * 3,
+         (InconsistentPortrait,
+          "images of 1, e are not related by sigma on color 1")),
+        # a sigma fault on edge 0 and a gap at edge 1: adjacency comes first
+        ([BASE, Vertex((1,)), Vertex((1, 2, 3))], [BASE] * 3, [ID, SWAP, ID],
+         (TreeLocalError, "skeleton vertices must be consecutive")),
+        ([BASE], [BASE], [ID, ID],
+         (TreeLocalError, "skeleton arrays must have equal lengths")),
+        ([], [], [], (TreeLocalError, "skeleton must be nonempty")),
+    ]
+
+    @pytest.mark.parametrize("vertices, images, sigmas, fault", CASES)
+    def test_fault_class_and_message(self, vertices, images, sigmas, fault):
+        assert two_pass_fault(vertices, images, sigmas) == fault
+        with pytest.raises(TreeLocalError) as caught:
+            SegmentPortrait(vertices, images, sigmas, symmetric_group(3))
+        assert (type(caught.value), str(caught.value)) == fault
+
+    def test_random_skeletons_fail_as_the_oracle(self):
+        # walks with a random jump now and then, images that step by
+        # sigma on the edge color but now and then stay put
+        rng = random.Random(0)
+        sym = symmetric_group(3).elements
+        faults = set()
+        for _ in range(3000):
+            verts = [random_reduced_word(rng, 3, rng.randint(0, 2))]
+            for _ in range(rng.randint(0, 3)):
+                verts.append(random_reduced_word(rng, 3, rng.randint(0, 3))
+                             if rng.random() < 0.1
+                             else neighbor(verts[-1], rng.randint(1, 3)))
+            sigmas = [rng.choice(sym) for _ in verts]
+            images = [random_reduced_word(rng, 3, 1)]
+            for u, w, sigma in zip(verts, verts[1:], sigmas):
+                longer = w if len(w) > len(u) else u
+                step = neighbor(images[-1], sigma(longer[-1] if longer else 1))
+                images.append(step if rng.random() < 0.9 else images[-1])
+            fault = two_pass_fault(verts, images, sigmas)
+            faults.add(fault and fault[0])
+            if fault is None:
+                g = SegmentPortrait(verts, images, sigmas, symmetric_group(3))
+                assert g.skeleton == tuple(verts)
+                continue
+            with pytest.raises(TreeLocalError) as caught:
+                SegmentPortrait(verts, images, sigmas, symmetric_group(3))
+            assert (type(caught.value), str(caught.value)) == fault
+        assert faults == {None, TreeLocalError, InconsistentPortrait}
 
 
 class TestCompositionAlgebra:

@@ -1,14 +1,16 @@
 """Alternating chain complexes on finite vertex windows."""
 
 import bisect
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from treelocal.errors import HypothesisUnverified, SizeLimitExceeded
+from treelocal.errors import HypothesisUnverified, SizeLimitExceeded, TreeLocalError
 from treelocal.chains import (
     AlternatingChain,
     ComplexWindow,
@@ -35,7 +37,11 @@ from treelocal.tree import (
     is_aligned_bruteforce,
 )
 
-from conftest import scan_transport_into_line, valid_contexts
+from conftest import (
+    scan_transport_into_line,
+    valid_contexts,
+    vertex_transport_into_line,
+)
 
 
 V = Vertex.parse
@@ -186,6 +192,79 @@ class TestRestriction:
         r2 = restriction_correspondence_check(ctx3, 2, 2,
                                               sample_cap=40, seed=5)
         assert r1 == r2
+
+
+class TestLeanTransports:
+    """The check's transports read the line in one slice, and its second
+    images are t's of the first, with the same reports as before."""
+
+    # sha256 of the reports on the ten 2-transitive pairs at d = 3, 4
+    # (seed 0), as the check with a composite second transport gave them
+    PINNED = {
+        (2, 1): "1933d96ce51fbdf6d8e0f30bb076b45b1bf469d332587b27b8f1b2efe8d30831",
+        (3, 2): "32ded2df8c3c60ad714abfc5282b122f5b9b3025505cb613492e75362581307c",
+        (3, 3): "32ded2df8c3c60ad714abfc5282b122f5b9b3025505cb613492e75362581307c",
+    }
+
+    @pytest.mark.parametrize("radius, n", sorted(PINNED))
+    def test_reports_pinned(self, radius, n):
+        reports = [restriction_correspondence_check(ctx, radius, n)
+                   for d in (3, 4) for ctx in valid_contexts(d)
+                   if ctx.two_transitive]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[radius, n]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_transports_match_the_vertex_reads(self, d, monkeypatch):
+        import treelocal.chains as chains
+        real_sample = chains._aligned_sample
+        real_transport = chains.transport_into_line
+        walks, built = {}, []
+
+        def sample(*args):
+            drawn = real_sample(*args)
+            walks.update((id(span), span.vertices()) for _, span in drawn)
+            return drawn
+
+        def transport(ctx, s, L):
+            built.append((s, real_transport(ctx, s, L),
+                          vertex_transport_into_line(ctx, s, L)))
+            return built[-1][1]
+
+        monkeypatch.setattr(chains, "_aligned_sample", sample)
+        monkeypatch.setattr(chains, "transport_into_line", transport)
+        for ctx in valid_contexts(d):
+            if not ctx.two_transitive:
+                continue
+            for seed in range(10):
+                built.clear()
+                report = restriction_correspondence_check(ctx, 3, 2, seed=seed)
+                assert report["consistent"] == len(built) == 120
+                for s, g, oracle in built:
+                    # the very tuple the draw walked
+                    assert g.skeleton is walks[id(s)]
+                    assert g.images == oracle.images
+                    assert g.sigmas == oracle.sigmas
+
+    @pytest.mark.parametrize("radius, n", [(0, 1), (0, 2), (1, 3), (1, 5),
+                                           (2, 5), (3, 7), (3, 99)])
+    def test_check_of_nothing_refused(self, ctx4, monkeypatch, radius, n):
+        # past n = 2 radius no geodesic of the ball has n + 1 vertices
+        import treelocal.chains as chains
+        assert aligned_tuples(list(ball(BASE, radius, 4)), n + 1) == []
+        monkeypatch.setattr(chains, "build_line", None)
+        with pytest.raises(TreeLocalError) as caught:
+            restriction_correspondence_check(ctx4, radius, n)
+        assert type(caught.value) is TreeLocalError
+        assert (f"radius {radius} " in str(caught.value)
+                and f"degree {n} " in str(caught.value))
+
+    @pytest.mark.parametrize("radius, n", [(0, 0), (1, 2), (2, 4)])
+    def test_longest_tuples_still_checked(self, ctx4, radius, n):
+        # n = 2 radius: the tuples are the diameters of the ball
+        count = len(aligned_tuples(list(ball(BASE, radius, 4)), n + 1))
+        report = restriction_correspondence_check(ctx4, radius, n)
+        assert report["tuples_checked"] == report["consistent"] == count > 0
 
 
 class TestAlignedSample:

@@ -212,6 +212,16 @@ class TestChains:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ENUMERATION_CAP" in err
 
+    def test_restriction_of_nothing_exits_1(self, capsys, spec4):
+        # a ball of radius R holds no aligned (n+1)-tuple past n = 2R
+        for radius, degree in (("0", "2"), ("1", "5"), ("3", "99")):
+            code, out, err = run(capsys, "chains", "restriction", "--spec", spec4,
+                                 "--radius", radius, "--degree", degree)
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"radius {radius} " in err and f"degree {degree} " in err
+
     def test_restriction_of_single_points(self, capsys, spec4):
         # ball(e, 3) at d = 4 has 53 vertices, ball(e, 4) has 161
         for radius, checked in (("3", 53), ("4", 120)):

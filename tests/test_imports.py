@@ -89,15 +89,26 @@ def test_no_generated_code(path):
     assert generated_code(path.read_text()) == []
 
 
+def bytecode_caches() -> set[pathlib.Path]:
+    """The __pycache__ directories under src/treelocal and their files."""
+    return {p for p in SRC.rglob("*") if "__pycache__" in p.parts}
+
+
 def test_cli_import_loads_no_dataclasses():
     """A fresh ``python -S`` process that imports the CLI loads neither
     dataclasses nor the inspect module that it imports: about 10 ms of a
-    cold start (same measurement) that no command needs."""
+    cold start (same measurement) that no command needs.  It writes no
+    bytecode into the source tree: -I ignores PYTHONDONTWRITEBYTECODE, so
+    -B says it, and a cache left there would make a later cold start of
+    the same checkout skip compiling."""
+    before = bytecode_caches()
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import treelocal.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    assert bytecode_caches() <= before
 
 
 def test_detector_flags_generated_code():

@@ -109,6 +109,20 @@ class TestSegment:
         seg = Segment(Vertex((1,)), (2, 3))
         assert [str(v) for v in seg.vertices()] == ["1", "1.2", "1.2.3"]
 
+    def test_vertices_walked_once(self):
+        # kept in the instance dict, apart from ==, hash and the fields
+        seg = Segment(Vertex((2, 1)), (3, 1, 2, 3))
+        walk = seg.vertices()
+        assert seg.__dict__["_walk"] is walk and seg.vertices() is walk
+        expected = [seg.start]
+        for k in seg.colors:
+            expected.append(neighbor(expected[-1], k))
+        assert walk == tuple(expected)
+        assert all(type(v) is Vertex for v in walk)
+        assert seg == Segment(Vertex((2, 1)), (3, 1, 2, 3))
+        with pytest.raises(AttributeError):
+            seg.start = BASE
+
     def test_rejects_backtracking(self):
         with pytest.raises(TreeLocalError):
             Segment(BASE, (1, 1))
@@ -262,6 +276,23 @@ class TestLineSpec:
             for i in range(-40, 41):
                 v = L.vertex(i)
                 assert fresh.index_of(v) == distance_index_of(L, v) == i
+
+    def test_forward_slice_equals_vertex_reads(self):
+        # non-base anchor and preambles; each slice on a fresh line, so
+        # that it extends the walk, and again on the walked line
+        def fresh():
+            return LineSpec(Vertex((2, 3)), EventuallyPeriodic((3, 2), (1, 4)),
+                            EventuallyPeriodic((1,), (2, 4)))
+        walked = fresh()
+        for lo, hi in [(0, 1), (0, 5), (1, 4), (3, 3), (7, 12), (0, 30), (29, 31)]:
+            L = fresh()
+            expected = [walked.vertex(i) for i in range(lo, hi)]
+            assert L.forward_slice(lo, hi) == expected
+            assert walked.forward_slice(lo, hi) == expected
+            # the walk reached v_(hi - 1) and its index has every vertex
+            assert all(L.index_of(v) == i for i, v in enumerate(expected, lo))
+        with pytest.raises(TreeLocalError):
+            walked.forward_slice(-1, 2)
 
     def test_walk_table_is_not_part_of_equality(self):
         L, L2 = self.line(), self.line()
