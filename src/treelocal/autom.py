@@ -81,6 +81,11 @@ class Automorphism:
     def _local(self, v: Vertex) -> Permutation:
         raise NotImplementedError
 
+    def _preimage(self, v: Vertex) -> Optional[Vertex]:
+        """The vertex this automorphism sends to v, where a class can read
+        it off its data without a walk; None where it cannot."""
+        return None
+
     def is_exact(self, F: PermGroup) -> bool:
         """True when this expression class guarantees that the set of
         vertices with local permutation outside F is finite."""
@@ -366,9 +371,17 @@ class SegmentPortrait(FilledPortrait):
         self.images = tuple(images)
         self.sigmas = tuple(sigmas)
         self._index = {v: i for i, v in enumerate(self.skeleton)}
+        self._back: Optional[dict[Vertex, Vertex]] = None
 
     def _skeleton_index(self, v: Vertex) -> Optional[int]:
         return self._index.get(v)
+
+    def _preimage(self, v: Vertex) -> Optional[Vertex]:
+        """The skeleton vertex whose image is v: the images read backward,
+        from a dict built on first use."""
+        if self._back is None:
+            self._back = dict(zip(self.images, self.skeleton))
+        return self._back.get(v)
 
     def _skeleton_image(self, i: int) -> Vertex:
         return self.images[i]
@@ -386,23 +399,30 @@ class SegmentPortrait(FilledPortrait):
 class LinePortrait(FilledPortrait):
     """A filled portrait whose skeleton is a bi-infinite line.
 
-    The vertex map on the line is index_image (an affine map of the index),
-    and sigma_at gives the local permutation at v_i.  sigma_at(i) must
+    The vertex map on the line is affine: index_map = (sign, shift) sends
+    v_i to v_{sign i + shift}.  With sign +-1 it moves neighbors to
+    neighbors, and its inverse j -> sign (j - shift) gives the preimage of
+    a line vertex by one index_of and one vertex lookup.
+    sigma_at gives the local permutation at v_i.  sigma_at(i) must
     depend only on i mod m and on the line colors e(j) with |j - i| <= 3
     or |j + i| <= 3, as the translation and the rotation of localaction do.
     By LineSpec.tail, sigma_at and every edge condition then repeat with
     period P past index +-seam, so checking the edges up to the seam plus
     one period on each side checks the whole line, and so does the
-    membership of sigma_at in F on one period of each tail.  A period
-    above LINE_PERIOD_CAP raises SizeLimitExceeded before any check.
+    membership of sigma_at in F on one period of each tail.  A sign other
+    than +-1 raises TreeLocalError, and a period above LINE_PERIOD_CAP
+    raises SizeLimitExceeded, before any check.
     """
 
-    def __init__(self, line: LineSpec, index_image: Callable[[int], int],
+    def __init__(self, line: LineSpec, index_map: tuple[int, int],
                  sigma_at: Callable[[int], Permutation], fill: PermGroup,
                  m: int = 1):
+        sign, shift = index_map
+        if sign not in (1, -1):
+            raise TreeLocalError(f"index map sign {sign} is not +1 or -1")
         super().__init__(fill, line.anchor)
         self.line = line
-        self.index_image = index_image
+        self.sign, self.shift = sign, shift
         self.sigma_at = sigma_at
         self.seam, self.period = line.tail(m)
         if self.period > LINE_PERIOD_CAP:
@@ -418,11 +438,10 @@ class LinePortrait(FilledPortrait):
             if self.sigma_at(i)(k) != self.sigma_at(i + 1)(k):
                 raise InconsistentPortrait(
                     f"sigma at line indices {i}, {i + 1} disagree on color {k}")
-            j, j2 = self.index_image(i), self.index_image(i + 1)
-            if abs(j2 - j) != 1:
-                raise InconsistentPortrait("index map must move to a neighbor")
-            # the image edge (v_j, v_j2) must carry the color sigma sends k to
-            if self.sigma_at(i)(k) != self.line.edge_color(max(j, j2)):
+            # the image edge (v_j, v_{j + sign}) must carry the color sigma
+            # sends k to
+            j = self.sign * i + self.shift
+            if self.sigma_at(i)(k) != self.line.edge_color(max(j, j + self.sign)):
                 raise InconsistentPortrait(
                     f"sigma at index {i} sends color {k} off the image edge")
 
@@ -430,7 +449,13 @@ class LinePortrait(FilledPortrait):
         return self.line.index_of(v)
 
     def _skeleton_image(self, i: int) -> Vertex:
-        return self.line.vertex(self.index_image(i))
+        return self.line.vertex(self.sign * i + self.shift)
+
+    def _preimage(self, v: Vertex) -> Optional[Vertex]:
+        j = self.line.index_of(v)
+        if j is None:
+            return None
+        return self.line.vertex(self.sign * (j - self.shift))
 
     def _skeleton_sigma(self, i: int) -> Permutation:
         return self.sigma_at(i)
@@ -473,11 +498,14 @@ class Compose(Automorphism):
 
 
 class Inverse(Automorphism):
-    """The inverse automorphism, evaluated by walking the image-side
-    geodesic and pulling each color back through the local permutation.
+    """The inverse automorphism.  Where g reads the preimage of v off its
+    own data (g._preimage: the images of a segment portrait's skeleton, a
+    line portrait's affine index map), that is the answer.  Elsewhere it
+    walks the image-side geodesic and pulls each color back through the
+    local permutation.
 
     The walk may start from any pair (u, g u): from (BASE, g BASE) or from
-    the last pair computed, whichever image is nearer v.  Iterating the
+    the last pair walked, whichever image is nearer v.  Iterating the
     inverse, as a negative power does, then costs one short walk a step."""
 
     def __init__(self, g: Automorphism):
@@ -486,6 +514,11 @@ class Inverse(Automorphism):
         self._last: Optional[tuple[Vertex, Vertex]] = None
 
     def _apply(self, v: Vertex) -> Vertex:
+        u = self.g._preimage(v)
+        return u if u is not None else self._walk(v)
+
+    def _walk(self, v: Vertex) -> Vertex:
+        """g^-1(v) by the walk, from whichever known pair is nearer."""
         u, x = BASE, self.g.apply(BASE)
         if self._last is not None and distance(self._last[1], v) < distance(x, v):
             u, x = self._last

@@ -245,6 +245,17 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    """An int argument of at least 1, as RunConfig asks of its bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an int of at least 1, not {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit 1, as invalid input."""
 
@@ -300,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--limit", type=int, default=0)
     p_ind = qm_sub.add_parser("independence")
     p_ind.add_argument("--spec", required=True)
-    p_ind.add_argument("--rank", type=int, default=3)
-    p_ind.add_argument("--max-seg", type=int, default=5)
-    p_ind.add_argument("--bound", type=int, default=8)
+    p_ind.add_argument("--rank", type=_at_least_one, default=3)
+    p_ind.add_argument("--max-seg", type=_at_least_one, default=5)
+    p_ind.add_argument("--bound", type=_at_least_one, default=8)
 
     p_ch = sub.add_parser("chains", help="finite chain-complex checks")
     ch_sub = p_ch.add_subparsers(dest="chains_cmd", required=True)

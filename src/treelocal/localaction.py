@@ -276,7 +276,7 @@ def translation_t(ctx: GroupContext, L: LineSpec) -> Automorphism:
         return _slot(ctx, [(L.edge_color(i), L.edge_color(i + 2)),
                            (L.edge_color(i + 1), L.edge_color(i + 3))])
 
-    return LinePortrait(L, lambda i: i + 2, sigma_at, ctx.F)
+    return LinePortrait(L, (1, 2), sigma_at, ctx.F)
 
 
 def rotation_r(ctx: GroupContext, L: LineSpec) -> Automorphism:
@@ -294,7 +294,7 @@ def rotation_r(ctx: GroupContext, L: LineSpec) -> Automorphism:
                      [tau.power(i), tau.power(-i)])
 
     order = math.lcm(*map(len, tau.cycles()))
-    return LinePortrait(L, lambda i: -i, sigma_at, ctx.F, m=order)
+    return LinePortrait(L, (-1, 0), sigma_at, ctx.F, m=order)
 
 
 def edge_transitivity_check(L: LineSpec, generators: Sequence[Automorphism],

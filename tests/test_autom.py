@@ -49,6 +49,7 @@ from treelocal.localaction import (
     rotation_r,
     segment_transport,
     translation_t,
+    transport_into_line,
 )
 from treelocal.serialize import decode_element
 from treelocal.tree import (
@@ -480,6 +481,82 @@ class TestNegativePowers:
                 assert up.apply(down.apply(v)) == v
 
 
+def walked_inverse(g, v: Vertex, k: int = 1) -> Vertex:
+    """g^-k(v) by k walks, the reference for the preimage lookups."""
+    walk = Inverse(g)._walk
+    for _ in range(k):
+        v = walk(v)
+    return v
+
+
+class TestInverseLookup:
+    """Inverse reads the preimage of a portrait's skeleton image off the
+    portrait (the affine index map of a line, the images of a segment) and
+    walks elsewhere; the walk is the reference."""
+
+    @staticmethod
+    def pairs():
+        for d in (3, 4):
+            for ctx in valid_contexts(d):
+                if ctx.two_transitive:
+                    L = build_line(ctx)
+                    yield ctx, L, translation_t(ctx, L), rotation_r(ctx, L)
+
+    @staticmethod
+    def points(L: LineSpec, d: int) -> list[Vertex]:
+        return [L.vertex(i) for i in range(-12, 13)] + list(ball(BASE, 4, d))
+
+    def test_line_portraits(self):
+        for ctx, L, t, r in self.pairs():
+            points = self.points(L, ctx.d)
+            for g in (t, r):
+                inv = Inverse(g)
+                for v in points:
+                    assert inv.apply(v) == walked_inverse(g, v)
+                for h in (Compose(g, inv), Compose(inv, g)):
+                    for v in points:
+                        assert h.apply(v) == v
+                        assert h.local(v).is_identity()
+            for k in (1, 2, 5):
+                down = power(t, -k)
+                for v in points:
+                    assert down.apply(v) == walked_inverse(t, v, k)
+
+    def test_transports(self):
+        for ctx, L, _, _ in self.pairs():
+            rng = random.Random(ctx.d)
+            ends = list(ball(BASE, 3, ctx.d))
+            for _ in range(6):
+                g = transport_into_line(ctx, geodesic(*rng.sample(ends, 2)), L)
+                inv = Inverse(g)
+                for v in list(g.images) + self.points(L, ctx.d):
+                    assert inv.apply(v) == walked_inverse(g, v)
+                    assert Compose(g, inv).apply(v) == v
+                assert [inv.apply(x) for x in g.images] == list(g.skeleton)
+
+    @pytest.mark.parametrize("name", ["ctx3", "ctx4", "ctxd4"])
+    def test_line_inverse_makes_no_walk(self, request, monkeypatch, name):
+        ctx = request.getfixturevalue(name)
+        L = build_line(ctx)
+
+        def walked(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(Inverse, "_walk", walked)
+        for g, image in ((translation_t(ctx, L), lambda i: i + 2),
+                         (rotation_r(ctx, L), lambda i: -i)):
+            g.local = walked
+            inv = Inverse(g)
+            for i in range(-20, 21):
+                assert inv.apply(L.vertex(image(i))) == L.vertex(i)
+
+    def test_sign_refused(self, ctx3):
+        t = translation_t(ctx3, build_line(ctx3))
+        for sign in (0, 2, -3):
+            with pytest.raises(TreeLocalError, match="sign"):
+                LinePortrait(t.line, (sign, 2), t.sigma_at, ctx3.F)
+
+
 def scan_step(on_skeleton, target: Vertex, v: Vertex) -> int:
     """First color from v toward the skeleton, found by scanning the
     geodesic from v to the skeleton vertex target for its first skeleton
@@ -728,7 +805,7 @@ class TestLinePeriodCap:
             return Permutation.identity(4)
 
         with pytest.raises(SizeLimitExceeded, match="10403"):
-            LinePortrait(coprime_period_line(), lambda i: i, sigma_at, ctx4.F)
+            LinePortrait(coprime_period_line(), (1, 0), sigma_at, ctx4.F)
         assert asked == []
 
     def test_translation_over_cap(self, ctx4):

@@ -267,6 +267,47 @@ class TestLeanTransports:
         assert report["tuples_checked"] == report["consistent"] == count > 0
 
 
+class TestDrawPins:
+    """The restriction report holds only counts, so these pins hold what it
+    drew: the tuples, and the line indices their transports land on."""
+
+    # sha256 of the drawn tuples and of their landing indices on the ten
+    # 2-transitive pairs at d = 3, 4, seed 0, (radius, degree) = (3, 2)
+    TUPLES = "75c5ca403141f684c442c0cbc6f34a3fc066fe685daea8dd9394590ef2461075"
+    INDICES = "766bb56aeae77aaac2e552eb8ef84adf97337858239c3dd19f73b0c5ab5f8198"
+
+    def test_draws_pinned(self, monkeypatch):
+        import treelocal.chains as chains
+        real_sample = chains._aligned_sample
+        real_transport = chains.transport_into_line
+        tuple_of, tuples, indices = {}, [], []
+
+        def sample(*args):
+            entries = real_sample(*args)
+            tuple_of.update((id(span), tup) for tup, span in entries)
+            return entries
+
+        def transport(ctx, s, L):
+            g = real_transport(ctx, s, L)
+            tup = tuple_of[id(s)]
+            tuples.append([str(v) for v in tup])
+            indices.append([L.index_of(g.apply(v)) for v in tup])
+            return g
+
+        monkeypatch.setattr(chains, "_aligned_sample", sample)
+        monkeypatch.setattr(chains, "transport_into_line", transport)
+        for d in (3, 4):
+            for ctx in valid_contexts(d):
+                if ctx.two_transitive:
+                    restriction_correspondence_check(ctx, 3, 2, seed=0)
+        assert len(tuples) == 1200
+
+        def digest(obj):
+            return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+        assert digest(tuples) == self.TUPLES
+        assert digest(indices) == self.INDICES
+
+
 class TestAlignedSample:
     """_aligned_sample draws by rank from the closed-form count of the
     aligned tuples of a ball; aligned_tuples is the reference."""

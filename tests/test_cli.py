@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from treelocal import cli
 from treelocal.cli import EXIT_INCOMPLETE, EXIT_INVALID, EXIT_OK, main
+from treelocal.medianqm import HOMOGENIZE_LIMIT_CAP
 from treelocal.serialize import MAX_ELEMENT_DEPTH
 from treelocal.tree import ball_size
 
@@ -171,6 +172,29 @@ class TestQm:
         data = json.loads(out)
         assert data["homogenize"] == 1
         assert len(data["limit"]) == 4
+
+    def test_homogenize_limit_over_cap_exits_1(self, capsys, specd4):
+        seg = json.dumps({"start": "e", "colors": [1, 2]})
+        code, out, err = run(capsys, "qm", "homogenize", "--spec", specd4,
+                             "--segment", seg, "--word", "1.2",
+                             "--limit", str(HOMOGENIZE_LIMIT_CAP + 1))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "HOMOGENIZE_LIMIT_CAP" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rank", "0"), ("--rank", "-1"), ("--max-seg", "0"),
+        ("--bound", "0"), ("--bound", "x")])
+    def test_independence_bounds_below_one_exit_1(self, capsys, specd4,
+                                                  flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["qm", "independence", "--spec", specd4, flag, value])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert flag in out.err and "at least 1" in out.err
 
     def test_independence_exhaustion_exit_code(self, capsys, specd4):
         code, out, _ = run(capsys, "qm", "independence", "--spec", specd4,

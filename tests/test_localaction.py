@@ -8,12 +8,14 @@ import pytest
 from treelocal.errors import (
     ConstraintUnsolvable,
     LengthMismatch,
+    NotStabilizing,
     NotTwoTransitive,
     OutOfRange,
     TreeLocalError,
 )
 from treelocal.permgroups import is_2transitive_direct, pick_tau, trivial_group
 from treelocal.autom import (
+    Inverse,
     Loxodromic,
     WordTranslation,
     certify_membership,
@@ -44,6 +46,7 @@ from treelocal.tree import (
     Vertex,
     ball,
     distance,
+    geodesic,
 )
 
 from conftest import (
@@ -277,6 +280,17 @@ class TestLine:
         assert edge_transitivity_check(L, [t, r], 8)
         # the translation alone only reaches every other edge
         assert not edge_transitivity_check(L, [t], 8)
+
+    def test_edge_transitivity_needs_the_line_stabilized(self, ctx3):
+        # v_0 = e, v_1 = 2 and v_-1 = 1, so 3 is off the line.  The
+        # transport of [e, 3, 3.1] sends it to v_1; its inverse keeps
+        # v_-8..v_0 on the line (by walks) and sends v_1 off it by lookup
+        L = build_line(ctx3)
+        t = translation_t(ctx3, L)
+        g = transport_into_line(ctx3, geodesic(BASE, Vertex((3, 1))), L)
+        for bad in (WordTranslation(Vertex((3,)), 3), Inverse(g)):
+            with pytest.raises(NotStabilizing, match="off the line"):
+                edge_transitivity_check(L, [t, bad], 8)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_sigma_periodic_past_seam(self, d):

@@ -132,6 +132,15 @@ class TestHomogenize:
         limit = homogenize_limit(f, g, 8)
         assert limit[5:] == [Fraction(h)] * 3
 
+    def test_limit_over_cap_refused_before_any_term(self, ctxd4, monkeypatch):
+        f = MedianQM(Segment(BASE, (1, 2, 1, 3, 1)), BASE, ctxd4)
+        g = word_element((1, 2, 1, 2, 4, 2, 3), 4)
+        monkeypatch.setattr(medianqm, "HOMOGENIZE_LIMIT_CAP", 8)
+        assert len(homogenize_limit(f, g, 8)) == 8
+        monkeypatch.setattr(medianqm, "eval_qm", None)
+        with pytest.raises(SizeLimitExceeded, match="HOMOGENIZE_LIMIT_CAP 8"):
+            homogenize_limit(f, g, 9)
+
     def test_cyclic_reduction(self):
         assert cyclic_reduction((1, 2, 3, 2, 1)) == (3,)
         assert cyclic_reduction((1, 2)) == (1, 2)
@@ -174,6 +183,11 @@ class TestIndependence:
         els = [word_element(w, 4) for w in self.WORDS]
         cert = independence_certificate(qms, els)
         assert cert.rank <= 2
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_target_below_one_refused(self, ctxd4, target):
+        with pytest.raises(TreeLocalError, match="at least 1"):
+            independence_search(ctxd4, target, 0, 8)
 
     def test_length5_segments_cap_at_rank1(self, ctxd4):
         # reversal-count functionals of length-5 segments are all
