@@ -148,7 +148,7 @@ class RunConfig(Frozen):
     pass without testing anything.  Anything else raises TreeLocalError
     naming the first offending key."""
 
-    __slots__ = tuple(_RUN_DEFAULTS)
+    __slots__ = _fields = tuple(_RUN_DEFAULTS)
 
     def __init__(self, **values: int):
         for key, value in values.items():

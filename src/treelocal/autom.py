@@ -344,15 +344,20 @@ class SegmentPortrait(FilledPortrait):
         if not vertices:
             raise TreeLocalError("skeleton must be nonempty")
         # one pass per concern.  First adjacency, taking each edge's color:
-        # two vertices are adjacent iff one is the other plus that letter
+        # two vertices are adjacent iff one is the other plus that letter.
+        # In a tree a walk repeats a vertex exactly when it backtracks, that
+        # is when two consecutive edges share a color: refused here
         colors = []
         for u, w in zip(vertices, vertices[1:]):
             if w and w[:-1] == u:
-                colors.append(w[-1])
+                k = w[-1]
             elif u and u[:-1] == w:
-                colors.append(u[-1])
+                k = u[-1]
             else:
                 raise TreeLocalError("skeleton vertices must be consecutive")
+            if colors and colors[-1] == k:
+                raise TreeLocalError(f"skeleton backtracks at {u}")
+            colors.append(k)
         super().__init__(fill, vertices[0])
         # then each edge's sigmas agree on its color k, and sigma sends k to
         # the image edge (so the images are consecutive too)

@@ -96,7 +96,7 @@ def boundary(c: AlternatingChain):
 
 
 class ComplexWindow(Frozen):
-    __slots__ = ("points", "max_degree")
+    __slots__ = _fields = ("points", "max_degree")
 
     def __init__(self, points: tuple[Vertex, ...], max_degree: int):
         if len(set(points)) != len(points):

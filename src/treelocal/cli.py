@@ -218,12 +218,14 @@ def cmd_chains(args) -> int:
         _emit(report, args.format)
         return EXIT_OK if not report["failures"] else EXIT_INCOMPLETE
     points = tuple(Vertex.parse(p) for p in args.points.split(","))
-    w = ComplexWindow(points, args.max_degree)
     if args.chains_cmd == "exactness":
+        w = ComplexWindow(points, args.max_degree)
         out = {"exact": exactness_check(w),
                "points": [str(p) for p in points],
                "max_degree": args.max_degree}
     else:
+        # the aligned checks read the window's points only
+        w = ComplexWindow(points, 0)
         basis = aligned_basis(w, args.degree)
         out = {
             "degree": args.degree,
@@ -321,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = ch_sub.add_parser(name)
         p.add_argument("--points", required=True,
                        help="comma-separated vertex words")
-        p.add_argument("--max-degree", type=int, default=3)
-        if name == "aligned":
+        if name == "exactness":
+            p.add_argument("--max-degree", type=int, default=3)
+        else:
             p.add_argument("--degree", type=int, default=2)
     p_restr = ch_sub.add_parser("restriction")
     p_restr.add_argument("--spec", required=True)

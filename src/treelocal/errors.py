@@ -4,13 +4,30 @@ the immutable value classes."""
 
 class Frozen:
     """Base of the immutable value classes.  Each sets its fields once, in
-    __init__, through object.__setattr__; assigning or deleting an
-    attribute afterwards raises.  A class that the library or the tests
-    compare writes its own == and repr over its fields, and its hash when
-    every field has one.  The methods are written out rather than
-    generated, so that importing the package compiles no code."""
+    __init__, through object.__setattr__; assigning or deleting one
+    afterwards raises.  ``_fields`` names the fields in repr order, and
+    ==, hash and repr read them: equal only to the same class with equal
+    fields, the hash of the field tuple (none where a field has none),
+    and Name(field=value, ...).  Caches are not fields.  The methods are
+    written once, not generated, so importing the package compiles no code."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

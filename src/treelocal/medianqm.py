@@ -45,7 +45,7 @@ class MedianQM(Frozen):
     """The function g -> (signed count of oriented translates of s in the
     geodesic from v to g v).  Unhashable, as its context is."""
 
-    __slots__ = ("s", "v", "ctx")
+    __slots__ = _fields = ("s", "v", "ctx")
 
     def __init__(self, s: Segment, v: Vertex, ctx: GroupContext):
         if s.length < 1:
@@ -56,14 +56,6 @@ class MedianQM(Frozen):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "ctx", ctx)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.v, self.ctx) == (other.s, other.v, other.ctx)
-
-    def __repr__(self):
-        return f"MedianQM(s={self.s!r}, v={self.v!r}, ctx={self.ctx!r})"
 
 
 class QMEvaluation(NamedTuple):
@@ -390,7 +382,7 @@ class IndependenceCertificate(Frozen):
     every j, so every c_i is 0.  That the rows are homogeneous
     quasimorphisms on G rests on the paper and is not checked here."""
 
-    __slots__ = ("qms", "elements", "matrix", "rank")
+    __slots__ = _fields = ("qms", "elements", "matrix", "rank")
 
     def __init__(self, qms: tuple[MedianQM, ...],
                  elements: tuple[WordTranslation, ...],
@@ -399,17 +391,6 @@ class IndependenceCertificate(Frozen):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.qms, self.elements, self.matrix, self.rank)
-                == (other.qms, other.elements, other.matrix, other.rank))
-
-    def __repr__(self):
-        return (f"IndependenceCertificate(qms={self.qms!r}, "
-                f"elements={self.elements!r}, matrix={self.matrix!r}, "
-                f"rank={self.rank!r})")
 
     def to_dict(self) -> dict:
         return {

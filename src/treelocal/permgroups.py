@@ -156,6 +156,7 @@ class PermGroup(Frozen):
 
     __slots__ = ("degree", "generators", "elements", "_element_set", "_least",
                  "__weakref__")
+    _fields = ("degree", "generators", "elements")
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...],
                  elements: tuple[Permutation, ...]):
@@ -164,19 +165,6 @@ class PermGroup(Frozen):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_element_set", frozenset(elements))
         object.__setattr__(self, "_least", {})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.degree, self.generators, self.elements)
-                == (other.degree, other.generators, other.elements))
-
-    def __hash__(self):
-        return hash((self.degree, self.generators, self.elements))
-
-    def __repr__(self):
-        return (f"PermGroup(degree={self.degree!r}, "
-                f"generators={self.generators!r}, elements={self.elements!r})")
 
     def least(self, key: tuple[int, ...]) -> Optional[Permutation]:
         """find_mapping(self, [(a1, b1), (a2, b2), ...]) for the constraints

@@ -104,24 +104,13 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
 class EdgeRef(Frozen):
     """An edge given by its endpoint nearer the base, plus its color."""
 
-    __slots__ = ("near", "color")
+    __slots__ = _fields = ("near", "color")
 
     def __init__(self, near: Vertex, color: int):
         if near and near[-1] == color:
             raise TreeLocalError("near endpoint already ends with the edge color")
         object.__setattr__(self, "near", near)
         object.__setattr__(self, "color", color)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.near, self.color) == (other.near, other.color)
-
-    def __hash__(self):
-        return hash((self.near, self.color))
-
-    def __repr__(self):
-        return f"EdgeRef(near={self.near!r}, color={self.color!r})"
 
     @property
     def far(self) -> Vertex:
@@ -143,6 +132,8 @@ class Segment(Frozen):
     """An oriented geodesic: a start vertex and the colors of its steps.
     Not slotted: the cached walk lives in the instance dict."""
 
+    _fields = ("start", "colors")
+
     def __init__(self, start: Vertex, colors: Sequence[int]):
         colors = tuple(colors)
         for a, b in zip(colors, colors[1:]):
@@ -150,17 +141,6 @@ class Segment(Frozen):
                 raise TreeLocalError(f"segment backtracks: colors {colors}")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "colors", colors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.colors) == (other.start, other.colors)
-
-    def __hash__(self):
-        return hash((self.start, self.colors))
-
-    def __repr__(self):
-        return f"Segment(start={self.start!r}, colors={self.colors!r})"
 
     @property
     def length(self) -> int:
@@ -276,7 +256,7 @@ def is_aligned_bruteforce(points: Sequence[Vertex]) -> bool:
 class EventuallyPeriodic(Frozen):
     """An eventually periodic sequence indexed from 1."""
 
-    __slots__ = ("pre", "period")
+    __slots__ = _fields = ("pre", "period")
 
     def __init__(self, pre: Sequence[int], period: Sequence[int]):
         pre, period = tuple(pre), tuple(period)
@@ -284,17 +264,6 @@ class EventuallyPeriodic(Frozen):
             raise TreeLocalError("period must be nonempty")
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "period", period)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pre, self.period) == (other.pre, other.period)
-
-    def __hash__(self):
-        return hash((self.pre, self.period))
-
-    def __repr__(self):
-        return f"EventuallyPeriodic(pre={self.pre!r}, period={self.period!r})"
 
     def term(self, i: int) -> int:
         if i < 1:
@@ -312,6 +281,7 @@ class LineSpec(Frozen):
     """
 
     __slots__ = ("anchor", "forward", "backward", "_walked", "_index")
+    _fields = ("anchor", "forward", "backward")
 
     def __init__(self, anchor: Vertex, forward: EventuallyPeriodic,
                  backward: EventuallyPeriodic):
@@ -329,19 +299,6 @@ class LineSpec(Frozen):
         # hash and repr ignore them
         object.__setattr__(self, "_walked", ([anchor], [anchor]))
         object.__setattr__(self, "_index", {anchor: 0})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.anchor, self.forward, self.backward)
-                == (other.anchor, other.forward, other.backward))
-
-    def __hash__(self):
-        return hash((self.anchor, self.forward, self.backward))
-
-    def __repr__(self):
-        return (f"LineSpec(anchor={self.anchor!r}, forward={self.forward!r}, "
-                f"backward={self.backward!r})")
 
     def tail(self, m: int = 1) -> tuple[int, int]:
         """(seam, P) such that anything depending only on i mod m and on

@@ -134,14 +134,18 @@ def two_pass_fault(vertices, images, sigmas):
     """The checks of a segment portrait in the order they were written
     first, an oracle for its one pass per concern: (class, message) of
     the first fault, or None.  Every consecutive pair is tested for
-    adjacency, and then each edge, in order, for sigma agreement on its
-    color and for the image step."""
+    adjacency, and every vertex for a walk that comes back to where it
+    was, and then each edge, in order, for sigma agreement on its color
+    and for the image step."""
     if not len(vertices) == len(images) == len(sigmas):
         return TreeLocalError, "skeleton arrays must have equal lengths"
     if not vertices:
         return TreeLocalError, "skeleton must be nonempty"
-    if any(distance(u, w) != 1 for u, w in zip(vertices, vertices[1:])):
-        return TreeLocalError, "skeleton vertices must be consecutive"
+    for i, (u, w) in enumerate(zip(vertices, vertices[1:])):
+        if distance(u, w) != 1:
+            return TreeLocalError, "skeleton vertices must be consecutive"
+        if i and vertices[i - 1] == w:
+            return TreeLocalError, f"skeleton backtracks at {u}"
     for i, (u, w) in enumerate(zip(vertices, vertices[1:])):
         k = (w if len(w) > len(u) else u)[-1]
         if sigmas[i](k) != sigmas[i + 1](k):
@@ -154,10 +158,10 @@ def two_pass_fault(vertices, images, sigmas):
 
 
 class TestSegmentPortraitChecks:
-    """SegmentPortrait checks adjacency in one pass, taking each edge's
-    color, and sigma agreement and image steps in a second; the errors,
-    their order and their messages are those of the checks as first
-    written."""
+    """SegmentPortrait checks adjacency and backtracking in one pass,
+    taking each edge's color, and sigma agreement and image steps in a
+    second; the errors, their order and their messages are those of the
+    oracle two_pass_fault."""
 
     ID = Permutation.identity(3)
     SWAP = parse_cycles("(1 2)", 3)
@@ -188,6 +192,12 @@ class TestSegmentPortraitChecks:
         ([BASE], [BASE], [ID, ID],
          (TreeLocalError, "skeleton arrays must have equal lengths")),
         ([], [], [], (TreeLocalError, "skeleton must be nonempty")),
+        # SWAP and (1 2 3) both send 1 to 2, so each edge of e, 1, e passes
+        # the sigma and image checks; the walk visits e twice, with two
+        # different sigmas, and is refused before either is read
+        ([BASE, Vertex((1,)), BASE], [BASE, Vertex((2,)), BASE],
+         [SWAP, SWAP, Permutation((2, 3, 1))],
+         (TreeLocalError, "skeleton backtracks at 1")),
     ]
 
     @pytest.mark.parametrize("vertices, images, sigmas, fault", CASES)

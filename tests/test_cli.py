@@ -220,6 +220,16 @@ class TestChains:
         assert ["e", "1", "2"] in data["aligned_basis"]
         assert len(data["aligned_basis"]) == 4
 
+    def test_aligned_has_no_max_degree(self, capsys):
+        # the aligned checks read the points only, so the flag is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["chains", "aligned", "--points", "e,1,2,1.2",
+                  "--max-degree", "3"])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID
+        assert out.out == ""
+        assert out.err == "error: unrecognized arguments: --max-degree 3\n"
+
     def test_restriction(self, capsys, spec3):
         code, out, _ = run(capsys, "chains", "restriction", "--spec", spec3,
                            "--radius", "2", "--degree", "1")

@@ -1,23 +1,31 @@
 """Value semantics of the classes that the library or the tests compare,
 hash or use as keys, and the output of the report records.
 
-Each such class writes its ==, hash and repr over its fields by hand:
-equal fields give equal objects with equal hashes (no hash where a field
-is a mutable context), an object of another type with the same fields is
-not equal, a field cannot be assigned or deleted (a GroupContext stays
-mutable), and repr lists the fields by name.  The records that nothing
+Each such class lists its fields as ``_fields`` and takes ==, hash and
+repr from errors.Frozen, which reads them: equal fields give equal
+objects with equal hashes (no hash where a field is a mutable context),
+an object of another type with the same fields is not equal, a field
+cannot be assigned or deleted (a GroupContext stays mutable), and repr
+lists the fields by name.  A guard keeps every Frozen class on those
+methods and its ``_fields`` in step with its slots.  The records that nothing
 compares are named tuples, and json.dumps writes a tuple as a list, so the
 reports' to_dict output is pinned as well.
 """
 
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import types
 
 import pytest
 
+import treelocal
 from treelocal.analysis import RunConfig, theorem1_branch, validate_inputs
 from treelocal.autom import WordTranslation
+from treelocal.chains import ComplexWindow
+from treelocal.errors import Frozen
 from treelocal.localaction import GroupContext
 from treelocal.medianqm import IndependenceCertificate, MedianQM
 from treelocal.permgroups import generate, parse_cycles
@@ -79,6 +87,17 @@ CASES = {
         {"qms": QMS, "elements": ELEMENTS, "matrix": ((2,),), "rank": 1},
         f"IndependenceCertificate(qms={QMS!r}, elements={ELEMENTS!r}, "
         "matrix=((2,),), rank=1)", False),
+    "ComplexWindow": (
+        lambda: ComplexWindow((BASE, Vertex((1,))), 2),
+        {"points": (BASE, Vertex((1,))), "max_degree": 2},
+        "ComplexWindow(points=(Vertex('e'), Vertex('1')), max_degree=2)", True),
+    "RunConfig": (
+        lambda: RunConfig(window=5, seed=-3),
+        {**RunConfig().to_dict(), "window": 5, "seed": -3},
+        "RunConfig(census_n=4, sample_size=200, membership_radius=8, "
+        "window=5, transport_samples=20, transport_max_len=5, qm_max_seg=5, "
+        "qm_search_bound=8, qm_rank_max_seg=6, rank_target=3, limit_N=8, "
+        "seed=-3)", True),
 }
 
 
@@ -118,6 +137,39 @@ class TestValueSemantics:
     def test_repr(self, name):
         build, _, text, _ = CASES[name]
         assert repr(build()) == text
+
+
+def frozen_classes(cls=Frozen):
+    """Every subclass of cls, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from frozen_classes(sub)
+
+
+for _module in pkgutil.iter_modules(treelocal.__path__):
+    importlib.import_module(f"treelocal.{_module.name}")
+FROZEN = sorted((c for c in frozen_classes()
+                 if c.__module__.startswith("treelocal.")),
+                key=lambda c: c.__name__)
+
+
+def test_every_frozen_class_has_a_case():
+    assert {c.__name__ for c in FROZEN} == set(CASES) - {"GroupContext"}
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_frozen_methods_are_written_once(cls):
+    # the class takes ==, hash and repr from Frozen, so a field left out
+    # of _fields would be left out of all three at once: _fields must
+    # list the public slots, or for an unslotted class the parameters of
+    # __init__, in order
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert name not in vars(cls), name
+    if "__slots__" in vars(cls):
+        public = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+    else:
+        public = tuple(inspect.signature(cls.__init__).parameters)[1:]
+    assert cls._fields == public
 
 
 def test_permgroup_memo_is_not_a_field():
